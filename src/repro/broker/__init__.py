@@ -3,8 +3,8 @@
 The paper assumes a standing marketplace — buyers continuously solicit
 offers from seller nodes.  This package turns the run-one-trade library
 into that marketplace: a daemon that multiplexes many concurrent
-negotiations over one shared world, offer cache, and offer-farm worker
-pool, behind a zero-dependency HTTP API (``repro serve``).
+negotiations over one shared world and offer cache, behind a
+zero-dependency HTTP API (``repro serve``).
 
 Layering (bottom up):
 

@@ -8,10 +8,6 @@ One :class:`BrokerService` owns
   :meth:`~repro.trading.cache.OfferCache.session_view`, so results
   cached by any session serve all others while hit/miss accounting
   stays per-session,
-* one shared **offer-farm worker pool** (``farm_workers > 1``) — the
-  process pool behind :class:`repro.parallel.OfferFarm` is a
-  module-level singleton keyed by worker count, so per-session farm
-  facades all draw from the same pool,
 * the **admission controller** and **session manager** (worker
   threads), and
 * a :class:`~repro.obs.metrics.MetricsRegistry` with the serving
@@ -141,7 +137,6 @@ class BrokerService:
         world_config: Mapping | None = None,
         clock: str = "sim",
         admission: AdmissionConfig | None = None,
-        farm_workers: int = 1,
         quiesce_timeout: float = 60.0,
         mqo: "MQOConfig | None" = None,
         live_obs: "LiveObsConfig | None" = None,
@@ -154,7 +149,6 @@ class BrokerService:
         self.clock_mode = clock
         self.admission_config = admission or AdmissionConfig()
         self.controller = AdmissionController(self.admission_config)
-        self.farm_workers = farm_workers
         self.quiesce_timeout = quiesce_timeout
         self.metrics = MetricsRegistry()
         self._started = time.monotonic()
@@ -295,10 +289,6 @@ class BrokerService:
             )
             sellers = self.world.seller_agents(offer_cache=cache_view)
             protocol = OrderedBiddingProtocol(timeout=session.spec.timeout)
-            if self.farm_workers > 1:
-                from repro.parallel import OfferFarm
-
-                protocol.attach_farm(OfferFarm(self.farm_workers))
             budget = self.admission_config.budget
             rounds = budget.rounds
             if session.spec.max_iterations is not None:

@@ -92,20 +92,6 @@ def _add_negotiation_args(parser: argparse.ArgumentParser) -> None:
         "--max-retries", type=int, default=2,
         help="re-issues of an all-silent round (with --fault-plan)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the parallel trading engine "
-             "(offer farm + full-lattice buyer DP); results are "
-             "byte-identical to --workers 1",
-    )
-    parser.add_argument(
-        "--parallel-threshold", type=int, default=512, metavar="PAIRS",
-        help="minimum estimated join pairs in a buyer DP lattice level "
-             "before it is shipped to the --workers pool; smaller "
-             "levels run in-process to dodge the IPC tax. Only "
-             "consulted when --workers > 1, and never changes results "
-             "— it only picks where each level runs (default 512)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,16 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="run the whole suite")
     experiment.add_argument(
         "--workers", type=int, default=1,
-        help="run experiments in parallel worker processes; tables are "
-             "printed in id order and identical to a serial run. With a "
-             "single experiment the workers instead parallelize the "
-             "experiment's own trades (offer farm + lattice buyer DP)",
-    )
-    experiment.add_argument(
-        "--parallel-threshold", type=int, default=512, metavar="PAIRS",
-        help="minimum estimated join pairs before a buyer DP level is "
-             "shipped to the worker pool (single-experiment runs only; "
-             "never changes results — default 512)",
+        help="run several experiments in parallel worker processes; "
+             "tables are printed in id order and identical to a serial "
+             "run",
     )
 
     report = sub.add_parser(
@@ -291,10 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-offers", type=int, default=None,
         help="per-session cap on offers evaluated (checked at round "
              "granularity; default unbudgeted)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="offer-farm worker processes shared across sessions",
     )
     serve.add_argument(
         "--mqo", action="store_true",
@@ -402,19 +377,11 @@ def _negotiate(args: argparse.Namespace, tracer=None):
         )
     else:
         protocol = BiddingProtocol()
-    if args.workers > 1:
-        from repro.parallel import OfferFarm
-
-        protocol.attach_farm(OfferFarm(args.workers))
     trader = QueryTrader(
         "client",
         world.seller_agents(),
         network,
-        BuyerPlanGenerator(
-            world.builder, "client", mode=args.plangen,
-            workers=args.workers,
-            parallel_threshold=args.parallel_threshold,
-        ),
+        BuyerPlanGenerator(world.builder, "client", mode=args.plangen),
         protocol=protocol,
     )
     if injector is not None:
@@ -687,7 +654,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         # Each experiment is self-contained (fresh worlds, fresh
         # networks), so whole experiments farm out cleanly; tables are
         # printed in id order regardless of completion order.
-        from repro.parallel import get_pool
+        from repro.parallel import POOL_UNAVAILABLE, get_pool
 
         try:
             pool = get_pool(min(workers, len(ids)))
@@ -696,19 +663,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 print(future.result())
                 print()
             return 0
-        except Exception as exc:  # pool unavailable: run serially
+        except POOL_UNAVAILABLE as exc:
+            # An error raised by an experiment itself propagates.
             print(f"parallel run unavailable ({exc}); running serially",
                   file=sys.stderr)
-    elif workers > 1:
-        # A single experiment cannot be farmed whole, so parallelize
-        # *inside* it instead: the harness defaults hand every trade the
-        # worker pool (results are byte-identical either way).
-        from repro.bench.harness import set_parallel_defaults
-
-        set_parallel_defaults(
-            workers=workers,
-            parallel_threshold=getattr(args, "parallel_threshold", None),
-        )
     for experiment_id in ids:
         print(_render_experiment(experiment_id))
         print()
@@ -764,7 +722,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rounds=args.budget_rounds, offers=args.budget_offers
             ),
         ),
-        farm_workers=args.workers,
         mqo=mqo,
         live_obs=live_obs,
     )

@@ -15,14 +15,14 @@ rebuilds the resulting causality graph from the trace:
     renegotiation ──▶ VOID notices
 
 The DAG is **timestamp-free**: it is assembled from ``(kind, name,
-args)`` only, sorted by causal id, with ``parallel``-category records
-filtered out — the same contract as the deterministic JSONL exporter
-and the negotiation ledger.  Under the broker's :class:`AsyncClock`
-recorded timestamps are wall times, but the causal ids, per-delivery
-transit delays (``lat``), booked compute seconds and armed deadlines
-are all deterministic, so the DAG (and the critical path replayed from
-it, :mod:`repro.obs.critpath`) is byte-identical across worker counts,
-clock implementations, and repeated same-seed runs.
+args)`` only, sorted by causal id — the same contract as the
+deterministic JSONL exporter and the negotiation ledger.  Under the
+broker's :class:`AsyncClock` recorded timestamps are wall times, but
+the causal ids, per-delivery transit delays (``lat``), booked compute
+seconds and armed deadlines are all deterministic, so the DAG (and the
+critical path replayed from it, :mod:`repro.obs.critpath`) is
+byte-identical across clock implementations and repeated same-seed
+runs.
 
 Build one from a live tracer or from a trace file::
 
@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.obs.tracer import CAT_PARALLEL, NO_PARENT, TraceRecord
+from repro.obs.tracer import NO_PARENT, TraceRecord
 
 __all__ = ["CausalDag", "CAUSAL_SCHEMA_VERSION", "causal_events"]
 
@@ -51,23 +51,19 @@ def causal_events(
     """Normalize a trace into ``(kind, name, site, args)`` tuples.
 
     Accepts live :class:`TraceRecord` rows or dict rows loaded by
-    :func:`repro.obs.report.load_trace`; ``parallel``-category records
-    (farm-worker internals, absorbed verbatim) are dropped so worker
-    counts cannot perturb anything built on top.
+    :func:`repro.obs.report.load_trace`.
     """
     if records is not None:
         for r in records:
-            if r.cat != CAT_PARALLEL:
-                yield r.kind, r.name, r.site, r.args or {}
+            yield r.kind, r.name, r.site, r.args or {}
     if rows is not None:
         for row in rows:
-            if row.get("cat") != CAT_PARALLEL:
-                yield (
-                    row.get("kind", "event"),
-                    row.get("name", ""),
-                    row.get("site", ""),
-                    row.get("args") or {},
-                )
+            yield (
+                row.get("kind", "event"),
+                row.get("name", ""),
+                row.get("site", ""),
+                row.get("args") or {},
+            )
 
 
 def _node(mid: int, parent: int, kind: str, src: str) -> dict[str, Any]:

@@ -9,10 +9,9 @@ list:
   along in each event's ``args`` as ``wall_ms``.  Sites become named
   threads, so per-seller compute intervals line up as lanes.
 * :func:`write_jsonl` — one JSON object per line.  In deterministic
-  mode (the default) wall-clock fields are dropped, ``parallel``-
-  category records (worker-pool diagnostics) are filtered out, and ids
-  are re-sequenced — making traces from serial and parallel runs of the
-  same negotiation byte-identical.
+  mode (the default) wall-clock fields are dropped and ids are
+  re-sequenced — making traces from repeated runs of the same
+  negotiation byte-identical.
 * :func:`render_timeline` — a terminal view: one lane per site showing
   simulated busy intervals, with negotiation-round boundaries marked.
 """
@@ -25,7 +24,7 @@ import json
 from contextlib import contextmanager
 from typing import Iterable, Sequence, TextIO
 
-from repro.obs.tracer import CAT_PARALLEL, NO_PARENT, TraceRecord
+from repro.obs.tracer import NO_PARENT, TraceRecord
 
 __all__ = [
     "chrome_trace_events",
@@ -136,14 +135,13 @@ def jsonl_lines(
     """Serialized lines for *records*.
 
     Deterministic mode (default) keeps only simulated-time fields and
-    drops the ``parallel`` category, then re-sequences ids positionally
-    — the ids, parents, and every remaining byte are then identical for
-    serial and parallel runs of the same negotiation.
+    re-sequences ids positionally — the ids, parents, and every
+    remaining byte are then identical for repeated runs of the same
+    negotiation.
     """
     if deterministic_only:
-        kept = [r for r in records if r.cat != CAT_PARALLEL]
-        remap = {r.span_id: i for i, r in enumerate(kept)}
-        for i, record in enumerate(kept):
+        remap = {r.span_id: i for i, r in enumerate(records)}
+        for i, record in enumerate(records):
             yield json.dumps(
                 {
                     "seq": i,

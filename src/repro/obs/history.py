@@ -142,17 +142,12 @@ _OPS: dict[str, Callable[[float, float], bool]] = {
 
 @dataclass(frozen=True)
 class Gate:
-    """One static threshold on a benchmark's headline metric.
-
-    ``when`` names a boolean metric that must be truthy for the gate to
-    apply (e.g. the parallel speedup gate only binds on >=4-CPU hosts).
-    """
+    """One static threshold on a benchmark's headline metric."""
 
     bench: str
     metric: str
     op: str
     bound: float
-    when: str | None = None
 
     def describe(self) -> str:
         sign = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "=="}
@@ -165,10 +160,6 @@ DEFAULT_GATES = (
     Gate("obs_overhead", "worst_null_overhead", "lt", 0.05),
     Gate("obs_overhead", "causal_overhead", "lt", 0.05),
     Gate("obs_overhead", "live_overhead", "lt", 0.10),
-    Gate("parallel", "eight_join_speedup", "ge", 2.0,
-         when="speedup_gate_enforced"),
-    Gate("parallel", "twelve_join_buyer_speedup", "ge", 3.0,
-         when="buyer_gate_enforced"),
     Gate("faults", "ef1_cost_stable", "eq", 1),
     Gate("serving", "all_sessions_completed", "eq", 1),
     Gate("mqo", "hit_rate_ratio", "ge", 5.0),
@@ -183,9 +174,8 @@ def check_gates(
     """Evaluate *gates* against the latest row per bench.
 
     Returns one verdict dict per gate: ``status`` is ``"ok"``,
-    ``"FAIL"``, ``"skipped"`` (``when`` guard false), or ``"missing"``
-    (no row / metric recorded yet — not a failure: a partial CI matrix
-    only appends the benches it ran).
+    ``"FAIL"``, or ``"missing"`` (no row / metric recorded yet — not a
+    failure: a partial CI matrix only appends the benches it ran).
     """
     verdicts = []
     for gate in gates:
@@ -200,14 +190,9 @@ def check_gates(
             metrics = row.get("metrics", {})
             value = metrics.get(gate.metric)
             verdict["value"] = value
-            if gate.when is not None and not metrics.get(gate.when):
-                verdict["status"] = "skipped"
-            elif value is None:
-                verdict["status"] = "missing"
-            elif _OPS[gate.op](value, gate.bound):
-                verdict["status"] = "ok"
-            else:
-                verdict["status"] = "FAIL"
+            if value is not None:
+                passed = _OPS[gate.op](value, gate.bound)
+                verdict["status"] = "ok" if passed else "FAIL"
         verdicts.append(verdict)
     return verdicts
 
@@ -216,16 +201,14 @@ def check_drift(
     history: BenchHistory,
     latest: dict[str, dict[str, Any]],
     regress_pct: float,
-    metrics=(("enumeration", "eight_join_speedup"),
-             ("parallel", "eight_join_speedup"),
-             ("parallel", "twelve_join_buyer_speedup")),
+    metrics=(("enumeration", "eight_join_speedup"),),
 ) -> list[dict[str, Any]]:
     """Relative regression vs the previous same-CPU-host row.
 
     Higher-is-better metrics only: a drop of more than *regress_pct*
     (fractional, e.g. ``0.5`` = half) against the previous recorded
     value from a host with the same CPU count fails.  No comparable
-    baseline -> skipped.
+    baseline -> missing.
     """
     verdicts = []
     for bench, metric in metrics:
@@ -234,7 +217,7 @@ def check_drift(
             "bench": bench,
             "gate": f"{metric} drift <= {regress_pct:.0%}",
             "value": None,
-            "status": "skipped",
+            "status": "missing",
         }
         if row is not None:
             value = row.get("metrics", {}).get(metric)

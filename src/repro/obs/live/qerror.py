@@ -19,7 +19,7 @@ is known-miscalibrated.
 
 Sampling is deterministic (numeric session id modulo the rate), so
 same-seed runs sample the same sessions and snapshots are byte-identical
-across clocks and worker counts.
+across clocks.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ the quantities a profiling pass actually wants:
   decomposition and each round's bottleneck; see
   :mod:`repro.obs.critpath`),
 * per-site cache hit ratios,
-* the simulator queue gauge and, for parallel runs, the offer-farm
-  fallback reasons.
+* the simulator queue gauge.
 """
 
 from __future__ import annotations
@@ -110,8 +109,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
     messages: dict[str, dict[str, int]] = {}
     faults: dict[str, int] = {}
     cache: dict[str, dict[str, int]] = {}
-    farm: dict[str, int] = {}
-    partitions: list[dict] = []
     live_sites: dict[str, dict] = {}
     live_qerror: dict[str, list[dict]] = {}
     pending_max = None
@@ -152,9 +149,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
             if outcome == "hit" and row["args"].get("interned"):
                 # Hits on MQO-interned (epoch-priced) commodities.
                 per_site["interned"] = per_site.get("interned", 0) + 1
-        elif row["name"] == "farm.serial_fallback" or row["name"] == "farm.serial_round":
-            reason = str(row["args"].get("reason", "?"))
-            farm[reason] = farm.get(reason, 0) + 1
         elif row["name"] == "live.site":
             # Registry rows written by `repro sites --trace-out`: one per
             # site, args carry the precomputed headline scalars.
@@ -163,16 +157,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
             live_qerror.setdefault(row["site"] or "?", []).append(
                 dict(row["args"])
             )
-        elif row["name"] == "buyer.level_partition":
-            args = row["args"]
-            partitions.append({
-                "site": row.get("site", "?"),
-                "level": args.get("level"),
-                "masks": args.get("masks"),
-                "pairs": args.get("pairs"),
-                "chunks": args.get("chunks"),
-                "imbalance": args.get("imbalance"),
-            })
 
     slowest.sort(key=lambda r: r["sim_end"] - r["sim_start"], reverse=True)
     return {
@@ -182,8 +166,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
         "messages": messages,
         "faults": faults,
         "cache": cache,
-        "farm": farm,
-        "partitions": partitions,
         "live_sites": live_sites,
         "live_qerror": live_qerror,
         "pending_max": pending_max,
@@ -358,27 +340,6 @@ def render_report(rows: Sequence[dict], top: int = 8) -> str:
         out.append(_table(
             ["site", "hits", "misses", "interned", "evicts", "hit rate"],
             rows_,
-        ))
-
-    if summary["farm"]:
-        out.append("")
-        out.append("offer-farm serial fallbacks by reason:")
-        out.append(_table(["reason", "count"], sorted(summary["farm"].items())))
-
-    if summary["partitions"]:
-        out.append("")
-        out.append("buyer DP level partitions (cost-based allocation):")
-        out.append(_table(
-            ["site", "level", "masks", "pairs", "chunks", "imbalance"],
-            [
-                [
-                    p["site"], p["level"], p["masks"], p["pairs"],
-                    p["chunks"],
-                    f"{p['imbalance']:.2f}"
-                    if p["imbalance"] is not None else "-",
-                ]
-                for p in summary["partitions"]
-            ],
         ))
 
     live_sites = summary["live_sites"]

@@ -8,7 +8,7 @@ each carrying *both* clocks:
   :class:`~repro.net.simulator.Network` the tracer is bound to), which
   is fully deterministic: two runs with the same seed produce the same
   simulated timestamps, sequence numbers, and span tree, regardless of
-  worker count or host speed;
+  host speed;
 * **wall-clock time** (``time.perf_counter``), which profiles where the
   *real* CPU time goes and is of course machine-dependent.
 
@@ -17,20 +17,7 @@ Overhead contract
 Tracing is off by default.  Every instrumentation point in the hot
 paths is guarded by ``if tracer.enabled:`` against the shared
 :data:`NULL_TRACER` singleton, so a disabled tracer costs one attribute
-load and one branch — nothing is allocated, no clock is read.  The
-``benchmarks/bench_obs_overhead.py`` gate pins this below 5%.
-
-Determinism contract
---------------------
-Records in the ``parallel`` category (offer-farm and buyer-DP
-diagnostics) are *nondeterministic by design* — they exist only when
-workers are engaged and carry wall-clock payloads.  The deterministic
-JSONL exporter drops them (and all wall fields) and re-sequences, which
-is what makes traces from ``--workers 1`` and ``--workers 4`` runs
-byte-identical.  Worker processes record into a fresh unbound tracer;
-their records ship back with the offer batches and are re-stamped into
-the parent's sequence at the exact simulation point the serial code
-would have recorded them (see :meth:`Tracer.absorb`).
+load and one branch — nothing is allocated, no clock is read.
 """
 
 from __future__ import annotations
@@ -39,10 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["TraceRecord", "Tracer", "NULL_TRACER", "CAT_PARALLEL"]
-
-#: Category of records excluded from deterministic exports.
-CAT_PARALLEL = "parallel"
+__all__ = ["TraceRecord", "Tracer", "NULL_TRACER"]
 
 #: ``parent_id`` of root records.
 NO_PARENT = -1
@@ -56,8 +40,7 @@ class TraceRecord:
     ``"event"`` (instant; start == end), or ``"gauge"`` (instant sample;
     the value lives in ``args["value"]``).  ``span_id`` is the record's
     own id (== its sequence number at creation); ``parent_id`` is the
-    enclosing span's id or ``-1``.  Records are plain data and pickle
-    cleanly across the fork-based process pool.
+    enclosing span's id or ``-1``.
     """
 
     seq: int
@@ -140,8 +123,7 @@ class Tracer:
     sim:
         Optional simulated-clock source (any object with a ``now``
         attribute, e.g. :class:`~repro.net.simulator.Simulator`).
-        Unbound tracers stamp simulated time ``0.0`` — worker processes
-        run unbound and their records are re-stamped on absorb.
+        Unbound tracers stamp simulated time ``0.0``.
     """
 
     __slots__ = ("enabled", "records", "_seq", "_stack", "_sim", "cause")
@@ -253,38 +235,6 @@ class Tracer:
                 {"value": value}, wall, wall,
             )
         )
-
-    # ------------------------------------------------------------------
-    def absorb(self, shipped: list[TraceRecord]) -> None:
-        """Replay worker-recorded rows at the current simulation point.
-
-        The offer farm's workers trace into fresh unbound tracers; their
-        rows come back with the offer batches and are re-stamped here —
-        new sequence numbers from *this* tracer's counter, simulated
-        times set to *now* (the exact instant the serial code would have
-        recorded them: the clock does not advance inside a delivery
-        handler), parents remapped into this tracer's open span.  Wall
-        durations are preserved relative to the absorb instant so the
-        real worker effort stays visible in wall-clock exports.
-        """
-        if not self.enabled or not shipped:
-            return
-        now = self.sim_now()
-        wall = time.perf_counter()
-        top = self._stack[-1] if self._stack else NO_PARENT
-        idmap: dict[int, int] = {}
-        for row in shipped:
-            seq = self._seq
-            self._seq = seq + 1
-            idmap[row.span_id] = seq
-            self.records.append(
-                TraceRecord(
-                    seq, row.kind, row.name, row.cat, row.site, now, now,
-                    seq, idmap.get(row.parent_id, top),
-                    dict(row.args) if row.args else None,
-                    wall, wall + row.wall_duration,
-                )
-            )
 
 
 #: Shared disabled tracer: the default value of every ``tracer``

@@ -32,13 +32,6 @@ class IDPOptimizer(DynamicProgrammingOptimizer):
         Levels up to which pruning applies (the paper uses 2).
     m:
         Number of sub-plans kept per pruned level (the paper uses 5).
-    workers / parallel_threshold:
-        Forwarded to the base DP: IDP blocks (the per-level mask sets
-        that survive the beam) are LPT-partitioned by the same
-        cost-based allocator.  Pruning runs in the parent between
-        levels, and the parent merges worker results in serial mask
-        order, so the beam's stable tie-breaks — which depend on
-        ``best``'s insertion order — are preserved at any worker count.
     """
 
     def __init__(
@@ -47,15 +40,8 @@ class IDPOptimizer(DynamicProgrammingOptimizer):
         k: int = 2,
         m: int = 5,
         max_relations: int = 24,
-        workers: int = 1,
-        parallel_threshold: int = 512,
     ):
-        super().__init__(
-            builder,
-            max_relations=max_relations,
-            workers=workers,
-            parallel_threshold=parallel_threshold,
-        )
+        super().__init__(builder, max_relations=max_relations)
         if k < 2:
             raise ValueError("k must be at least 2")
         if m < 1:

@@ -1,31 +1,22 @@
-"""Parallel trading engine: process-pool layers over the QT simulator.
+"""Process-pool helpers for running independent measurements.
 
-Three independent layers, all preserving byte-identical results versus
-serial execution (see ``docs/PARALLEL.md`` for the determinism
-contract):
+Nothing here reaches into a trade: one trade is always one serial pass
+through :class:`~repro.trading.trader.QueryTrader` (the paper's
+parallelism — sellers pricing concurrently — is simulated on the
+federation's clock, not executed in processes).  What runs in the pool
+is whole, self-contained jobs:
 
-* :class:`~repro.parallel.offer_farm.OfferFarm` — computes each
-  negotiation round's independent seller offers in worker processes and
-  hands them back at the exact simulation points the serial code would
-  have computed them.
-* The full-lattice buyer DP — ``BuyerPlanGenerator(workers=N)`` ships
-  every level of the subset lattice to the fork pool, masks
-  LPT-partitioned by estimated join work (Trummer–Koch cost-based
-  allocation, :mod:`repro.parallel.partition`) and merged back in
-  serial mask order.  The seller-side DP/IDP optimizer reuses the same
-  allocator for its levels.
 * :func:`~repro.parallel.sweeps.run_sweep` — executes independent
   (world, query, axis-point) benchmark measurements concurrently with
-  job-stable result ordering, LPT-chunking long sweeps by cost hints.
+  job-stable result ordering, LPT-chunking long sweeps by cost hints
+  (:func:`~repro.parallel.partition.lpt_partition`);
+* ``repro experiment <several ids> --workers N`` — farms whole
+  experiments through :func:`~repro.parallel.pool.get_pool`.
 """
 
-from repro.parallel.offer_farm import OfferFarm, RoundPrefetch
-from repro.parallel.partition import (
-    bucket_loads,
-    imbalance_ratio,
-    lpt_partition,
-)
+from repro.parallel.partition import lpt_partition
 from repro.parallel.pool import (
+    POOL_UNAVAILABLE,
     available_cpus,
     get_pool,
     run_chunks,
@@ -35,14 +26,11 @@ from repro.parallel.pool import (
 from repro.parallel.sweeps import RUNNERS, SweepJob, job_cost_hint, run_sweep
 
 __all__ = [
-    "OfferFarm",
-    "RoundPrefetch",
+    "POOL_UNAVAILABLE",
     "RUNNERS",
     "SweepJob",
     "available_cpus",
-    "bucket_loads",
     "get_pool",
-    "imbalance_ratio",
     "job_cost_hint",
     "lpt_partition",
     "run_chunks",

@@ -1,13 +1,10 @@
-"""Cost-weighted work partitioning for the parallel lattice schedulers.
+"""Cost-weighted work partitioning for the sweep runner.
 
-Subproblem costs across a DP level are wildly uneven — a handful of
-masks own most of the join pairs — so dealing masks round-robin (the
-PR 3 scheme) plateaus almost immediately: one worker draws the heavy
-masks while the rest idle.  Trummer & Koch ("Parallelizing Query
-Optimization on Shared-Nothing Architectures") allocate the *entire*
-DP lattice by estimated cost instead; this module implements the
-allocation primitive they rely on, Longest-Processing-Time-first
-greedy bin packing (a.k.a. LPT list scheduling):
+Job costs across a sweep are wildly uneven — a 12-join point costs
+orders of magnitude more than a 4-join warm-up — so dealing jobs
+round-robin leaves one worker with the heavy ones while the rest idle.
+This module implements Longest-Processing-Time-first greedy bin packing
+(a.k.a. LPT list scheduling):
 
 * items are visited in descending weight (ties broken by original
   index, so the schedule is deterministic),
@@ -20,12 +17,9 @@ LPT's own bound is the tighter ``4/3 - 1/(3k)`` factor of optimal).
 ``tests/test_parallel.py`` property-checks both the bound and the
 exactly-once coverage of every item.
 
-Consumers: the buyer's full-lattice parallel DP
-(:meth:`repro.trading.buyer.BuyerPlanGenerator`), the seller-side
-DP/IDP level scheduler (:mod:`repro.optimizer.dp`), and the sweep
-runner's job chunking (:mod:`repro.parallel.sweeps`).  The partition
-only decides *where* work runs — merge order is always the serial
-order, so scheduling never affects results.
+The partition only decides *where* work runs — results are gathered in
+job order (:mod:`repro.parallel.sweeps`), so scheduling never affects
+them.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
-__all__ = ["lpt_partition", "bucket_loads", "imbalance_ratio"]
+__all__ = ["lpt_partition"]
 
 
 def lpt_partition(
@@ -62,24 +56,3 @@ def lpt_partition(
     for group in assignment:
         group.sort()
     return [group for group in assignment if group]
-
-
-def bucket_loads(
-    assignment: Sequence[Sequence[int]], weights: Sequence[float]
-) -> list[float]:
-    """Total weight per bucket of an :func:`lpt_partition` result."""
-    return [sum(weights[i] for i in group) for group in assignment]
-
-
-def imbalance_ratio(loads: Sequence[float]) -> float:
-    """``max_load / mean_load`` of non-empty buckets (1.0 = perfect).
-
-    The diagnostic the ``buyer.level_partition`` trace event reports;
-    degenerate inputs (no buckets, zero total) read as balanced.
-    """
-    if not loads:
-        return 1.0
-    total = sum(loads)
-    if total <= 0:
-        return 1.0
-    return max(loads) * len(loads) / total

@@ -1,16 +1,14 @@
-"""Shared process-pool plumbing for the parallel trading engine.
+"""Shared process-pool plumbing for the sweep and experiment runners.
 
 One :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
-created lazily and reused for the life of the process: the offer farm,
-the lattice buyer DP, and the sweep runner all fan out many small task
-batches, so paying pool start-up once instead of per negotiation round
-is what makes parallelism worth its IPC tax.
+created lazily and reused for the life of the process, so pool start-up
+is paid once rather than per sweep.
 
 The ``fork`` start method is preferred (cheap worker start, inherited
 module state); platforms without it fall back to the default context.
 Workers must nevertheless treat inherited globals as stale — e.g. the
-offer-id counter is explicitly reseeded per task (see
-``repro.parallel.offer_farm``).
+offer-id counter is explicitly reseeded per job (see
+:func:`repro.parallel.sweeps.run_job`).
 
 Lifecycle hygiene: every pool is shut down at interpreter exit
 (:func:`shutdown_pools` is idempotent and registered with ``atexit``
@@ -20,9 +18,9 @@ next :func:`get_pool` call instead of failing every future forever.
 Benchmarks call :func:`warm_pool` so worker spawn cost (the executor
 forks lazily, on first submit) never lands inside a timed region.
 
-Callers should treat any exception from :func:`get_pool` or a submitted
-future as "parallelism unavailable" and fall back to their serial path —
-the equivalence contract makes the fallback free of behavioral change.
+Callers fall back to their serial path on :data:`POOL_UNAVAILABLE`
+only; any other exception out of a future was raised by the job itself
+and must propagate.
 """
 
 from __future__ import annotations
@@ -30,16 +28,23 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 __all__ = [
+    "POOL_UNAVAILABLE",
     "available_cpus",
     "get_pool",
     "warm_pool",
     "run_chunks",
     "shutdown_pools",
 ]
+
+#: What "the pool cannot run this" looks like: a worker died, the host
+#: refused a process, or the task would not ship.
+POOL_UNAVAILABLE = (BrokenProcessPool, OSError, pickle.PicklingError)
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 _WARMED: set[int] = set()
@@ -89,7 +94,7 @@ def warm_pool(workers: int, hold: float = 0.02) -> ProcessPoolExecutor:
 
     ``ProcessPoolExecutor`` forks workers lazily on submit, so a bare
     :func:`get_pool` leaves spawn cost inside the first caller's timed
-    region — which made small-join benchmark numbers understate speedup.
+    region.
     Each warm task holds its worker for *hold* seconds so one fast
     process cannot service the whole warm-up batch.
     """
@@ -105,11 +110,9 @@ def warm_pool(workers: int, hold: float = 0.02) -> ProcessPoolExecutor:
 def run_chunks(workers: int, fn, chunk_args: list[tuple]) -> list:
     """Submit ``fn(*args)`` per chunk; results in submission order.
 
-    The level-batch task protocol shared by the lattice schedulers: one
-    pool task per cost-balanced chunk, so per-chunk shared state (the
-    ``PlanBuilder``, the lower DP levels) pickles once per chunk rather
-    than once per mask.  Exceptions propagate to the caller, whose
-    serial fallback is the equivalence-preserving escape hatch.
+    One pool task per cost-balanced chunk, so scheduling overhead is
+    paid per chunk rather than per item.  Exceptions propagate to the
+    caller.
     """
     pool = get_pool(workers)
     futures = [pool.submit(fn, *args) for args in chunk_args]

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import repro.trading.commodity as commodity
+from repro.bench import harness
 from repro.parallel.partition import lpt_partition
-from repro.parallel.pool import get_pool, run_chunks
+from repro.parallel.pool import POOL_UNAVAILABLE, get_pool, run_chunks
+from repro.workload import chain_query
 
 __all__ = ["SweepJob", "RUNNERS", "run_sweep", "job_cost_hint"]
 
@@ -46,54 +48,24 @@ class SweepJob:
             )
 
 
-def _runners() -> dict[str, Callable]:
-    # Imported lazily: bench.harness itself imports repro.parallel.
-    from repro.bench import harness
-
-    return {
-        "qt": harness.run_qt,
-        "qt_faulty": harness.run_qt_faulty,
-        "distdp": harness.run_distdp,
-        "distidp": harness.run_distidp,
-        "mariposa": harness.run_mariposa,
-    }
-
-
-class _RunnerRegistry(dict):
-    """Lazily populated runner table (extendable by callers)."""
-
-    def _fill(self) -> None:
-        for key, runner in _runners().items():
-            dict.setdefault(self, key, runner)
-
-    def __missing__(self, key):
-        self._fill()
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        self._fill()
-        return dict.__contains__(self, key)
-
-    def keys(self):
-        self._fill()
-        return dict.keys(self)
-
-
-RUNNERS: dict[str, Callable] = _RunnerRegistry()
+#: Runner table (extendable by callers); keys are what
+#: :attr:`SweepJob.runner` names.
+RUNNERS: dict[str, Callable] = {
+    "qt": harness.run_qt,
+    "qt_faulty": harness.run_qt_faulty,
+    "distdp": harness.run_distdp,
+    "distidp": harness.run_distidp,
+    "mariposa": harness.run_mariposa,
+}
 
 
 def run_job(job: SweepJob):
     """Execute one job from scratch (fresh world, reseeded offer ids)."""
-    from repro.bench.harness import build_world
-    from repro.workload import chain_query
-
     commodity._offer_ids = itertools.count(1)
-    # Clear any fork-inherited offer-id scope (see offer_farm): a pool
-    # forked inside one would shadow the reseeded counter above.
+    # Clear any fork-inherited offer-id scope: a pool forked inside
+    # one would shadow the reseeded counter above.
     commodity._scoped_offer_ids.set(None)
-    world = build_world(**job.world)
+    world = harness.build_world(**job.world)
     query = chain_query(**job.query)
     measurement = RUNNERS[job.runner](world, query, **job.run)
     measurement.optimizer = job.label or measurement.optimizer
@@ -129,7 +101,9 @@ def run_sweep(jobs: Sequence[SweepJob], workers: int = 1) -> list:
     :func:`job_cost_hint` so one task's scheduling overhead is paid per
     chunk rather than per job and heavy jobs spread across workers
     first; short sweeps keep one task per job for maximum overlap.
-    Pool failures fall back to in-process execution.
+    An unavailable pool (:data:`~repro.parallel.pool.POOL_UNAVAILABLE`)
+    falls back to in-process execution; an exception raised by a job
+    itself propagates.
     """
     jobs = list(jobs)
     if workers <= 1 or len(jobs) < 2:
@@ -152,5 +126,5 @@ def run_sweep(jobs: Sequence[SweepJob], workers: int = 1) -> list:
         pool = get_pool(min(workers, len(jobs)))
         futures = [pool.submit(run_job, job) for job in jobs]
         return [future.result() for future in futures]
-    except Exception:
+    except POOL_UNAVAILABLE:
         return [run_job(job) for job in jobs]

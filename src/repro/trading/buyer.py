@@ -31,14 +31,12 @@ emits sort-free variants of ORDER BY queries.
 
 from __future__ import annotations
 
-import copy
 import heapq
-import pickle
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
-from repro.obs.tracer import CAT_PARALLEL, NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optimizer.joingraph import JoinGraph
 from repro.optimizer.plans import Plan, PlanBuilder, Purchased
 from repro.sql.expr import Expr, TRUE, conjoin, restriction_overlaps
@@ -120,13 +118,9 @@ class BuyerPlanGenerator:
         max_join_fanin: int = 12,
         union_budget: int = 400,
         seconds_per_plan: float = 5e-5,
-        workers: int = 1,
-        parallel_threshold: int = 512,
     ):
         if mode not in ("dp", "idp"):
             raise ValueError("mode must be 'dp' or 'idp'")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         self.builder = builder
         self.buyer_site = buyer_site
         self.valuation = valuation or WeightedValuation()
@@ -136,14 +130,6 @@ class BuyerPlanGenerator:
         self.max_join_fanin = max_join_fanin
         self.union_budget = union_budget
         self.seconds_per_plan = seconds_per_plan
-        #: Process-pool fan-out of the whole subset lattice: every DP
-        #: level's masks are cost-partitioned (LPT over estimated join
-        #: pairs) across workers and merged back in serial mask order,
-        #: so results are byte-identical to serial at any worker count.
-        #: The threshold (estimated join pairs per level) keeps small
-        #: levels off the IPC tax entirely.
-        self.workers = workers
-        self.parallel_threshold = parallel_threshold
         #: Observability hook; the trader attaches its network tracer.
         self.tracer: Tracer = NULL_TRACER
 
@@ -253,21 +239,11 @@ class BuyerPlanGenerator:
         # and cross products are allowed where unavoidable.
         query_connected = graph.is_connected
         for size in range(2, graph.n + 1):
-            masks = graph.level_masks(size, connected_only=query_connected)
-            done_parallel = None
-            if self.workers > 1 and masks:
-                done_parallel = self._parallel_level(
-                    subsets, size, masks, graph, query, required,
+            for mask in graph.level_masks(size, connected_only=query_connected):
+                enumerated += self._level_block(
+                    subsets, mask, graph, query, required,
                     alias_to_relation, query_connected,
                 )
-            if done_parallel is not None:
-                enumerated += done_parallel
-            else:
-                for mask in masks:
-                    enumerated += self._level_block(
-                        subsets, mask, graph, query, required,
-                        alias_to_relation, query_connected,
-                    )
             if self.mode == "idp" and size == 2:
                 self._idp_prune(subsets, size)
 
@@ -302,10 +278,8 @@ class BuyerPlanGenerator:
     ) -> int:
         """One mask's DP step: joins over splits, union closure, prune.
 
-        At a given level the masks are independent — each reads only
-        strictly smaller buckets and writes only its own — which is what
-        the full-lattice parallel scheduler (:meth:`_parallel_level`)
-        exploits.  Returns plans enumerated.
+        Reads only strictly smaller buckets and writes only its own.
+        Returns plans enumerated.
         """
         enumerated = 0
         allow_cross = not (query_connected or graph.connected(mask))
@@ -337,170 +311,6 @@ class BuyerPlanGenerator:
                     self._add_entry(subsets, mask, entry)
         enumerated += self._union_closure(subsets, mask, query, required)
         self._prune(subsets, mask)
-        return enumerated
-
-    def _level_weights(
-        self,
-        subsets: dict[int, dict[tuple, _Entry]],
-        masks: Sequence[int],
-        graph: JoinGraph,
-        query_connected: bool,
-    ) -> list[int]:
-        """Estimated work per mask of one lattice level.
-
-        A mask's dominant cost is its join pairs: for every split whose
-        sides both hold RAW entries (and are connected or allowed to
-        cross-product), the DP step builds ``min(|left|, fanin) *
-        min(|right|, fanin)`` join plans — exactly what
-        :meth:`_join_participants` admits.  Pre-seeded buckets add their
-        entry count for the union-closure pass.  Masks that weigh zero
-        are provably no-ops (no joins, no bucket to close or prune) and
-        are skipped by the scheduler.
-        """
-        fanin = self.max_join_fanin
-        raw_counts: dict[int, int] = {}
-
-        def raw_count(m: int) -> int:
-            cached = raw_counts.get(m)
-            if cached is None:
-                bucket = subsets.get(m)
-                cached = 0
-                if bucket:
-                    cached = min(
-                        sum(1 for e in bucket.values() if e.form == RAW),
-                        fanin,
-                    )
-                raw_counts[m] = cached
-            return cached
-
-        weights = []
-        for mask in masks:
-            allow_cross = not (query_connected or graph.connected(mask))
-            pairs = 0
-            for left, right in graph.splits(mask):
-                n_left = raw_count(left)
-                if not n_left:
-                    continue
-                n_right = raw_count(right)
-                if not n_right:
-                    continue
-                if not allow_cross and not graph.connecting(left, right):
-                    continue
-                pairs += n_left * n_right
-            seeded = subsets.get(mask)
-            weights.append(pairs + (len(seeded) if seeded else 0))
-        return weights
-
-    def _parallel_level(
-        self,
-        subsets: dict[int, dict[tuple, _Entry]],
-        size: int,
-        masks: Sequence[int],
-        graph: JoinGraph,
-        query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
-        alias_to_relation: Mapping[str, str],
-        query_connected: bool,
-    ) -> int | None:
-        """Fan one full lattice level across worker processes.
-
-        Masks within a level are independent — each reads only strictly
-        smaller buckets and writes its own — so the level is partitioned
-        into cost-balanced chunks (LPT over :meth:`_level_weights`
-        estimates, replacing PR 3's round-robin deal of level 2 only)
-        and shipped whole to the fork pool: one task per chunk, so the
-        shared ``PlanBuilder`` and the lower lattice pickle once per
-        chunk.  Returns the enumerated-plan count, or ``None`` to signal
-        "run serially" (level below the threshold, nothing to balance,
-        or pool failure).  The parent merges worker buckets back in the
-        level's own serial mask order, so ``subsets`` ends up with
-        exactly the serial dict — same entries, same insertion order
-        (``_idp_prune``'s stable sort depends on it).
-        """
-        weights = self._level_weights(subsets, masks, graph, query_connected)
-        total = sum(weights)
-        if total < self.parallel_threshold:
-            return None
-        scheduled = [i for i, weight in enumerate(weights) if weight > 0]
-        if len(scheduled) < 2:
-            return None
-        # The generator shipped to workers must not drag an enabled
-        # tracer along: one bound to a live simulator does not pickle,
-        # and a silent pool failure here would disable buyer parallelism
-        # exactly when someone is profiling it.
-        shipped = self
-        try:
-            from repro.parallel.partition import (
-                bucket_loads,
-                imbalance_ratio,
-                lpt_partition,
-            )
-            from repro.parallel.pool import run_chunks
-
-            chunk_indices = lpt_partition(
-                [weights[i] for i in scheduled], self.workers
-            )
-            chunks = [
-                [masks[scheduled[j]] for j in group] for group in chunk_indices
-            ]
-            if self.tracer.enabled:
-                shipped = copy.copy(self)
-                shipped.tracer = NULL_TRACER
-                loads = bucket_loads(
-                    chunk_indices, [weights[i] for i in scheduled]
-                )
-                self.tracer.event(
-                    "buyer.level_partition", CAT_PARALLEL,
-                    site=self.buyer_site, level=size, masks=len(scheduled),
-                    pairs=total, chunks=len(chunks),
-                    # Closed-form split budget of the level — what a
-                    # structure-blind allocator would balance against;
-                    # the gap to ``pairs`` is what the cost model prunes.
-                    splits_total=sum(graph.total_splits(m) for m in masks),
-                    bucket_costs=[float(load) for load in loads],
-                    imbalance=round(imbalance_ratio(loads), 4),
-                )
-            # Every chunk reads the same lower lattice, so the shared
-            # state (generator, lower buckets, level seeds, graph,
-            # query) is pickled ONCE per level into a blob that ships
-            # to each task as plain bytes — the parent's serialization
-            # cost stays constant as workers grow, instead of paying
-            # one lattice pickle per chunk (the Amdahl serial fraction
-            # that capped PR 3's speedup).
-            seed = {
-                m: bucket
-                for m, bucket in subsets.items()
-                if m.bit_count() < size
-            }
-            for i in scheduled:
-                seeded = subsets.get(masks[i])
-                if seeded:
-                    seed[masks[i]] = seeded
-            blob = pickle.dumps(
-                (
-                    shipped, seed, graph, query, required,
-                    alias_to_relation, query_connected,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            merged: dict[int, tuple[dict, int]] = {}
-            for result in run_chunks(
-                self.workers,
-                _level_chunk_worker,
-                [(blob, chunk) for chunk in chunks],
-            ):
-                merged.update(result)
-        except Exception:
-            return None
-        enumerated = 0
-        for mask in masks:
-            got = merged.get(mask)
-            if got is None:
-                continue  # zero-weight mask: a no-op serially too
-            bucket, count_ = got
-            enumerated += count_
-            if bucket:
-                subsets[mask] = bucket
         return enumerated
 
     # ------------------------------------------------------------------
@@ -740,35 +550,6 @@ class BuyerPlanGenerator:
         level.sort(key=lambda item: self._entry_score(item[2]))
         for subset, key, _entry in level[self.idp_m :]:
             del subsets[subset][key]
-
-
-def _level_chunk_worker(
-    blob: bytes,
-    masks: Sequence[int],
-) -> dict[int, tuple[dict[tuple, _Entry], int]]:
-    """Worker-side slice of one lattice level.
-
-    *blob* is the level's shared state — ``(generator, seed, graph,
-    query, required, alias_to_relation, query_connected)`` — pickled
-    once by the parent and decoded here, in the worker, where the cost
-    parallelizes.  Each mask's block reads only strictly smaller
-    buckets (plus its own seeded bucket) and writes only its own, so
-    masks within a chunk cannot interact; the result per mask is
-    exactly what the serial loop would have left in ``subsets[mask]``.
-    """
-    (
-        generator, seed, graph, query, required,
-        alias_to_relation, query_connected,
-    ) = pickle.loads(blob)
-    subsets = dict(seed)
-    out: dict[int, tuple[dict[tuple, _Entry], int]] = {}
-    for mask in masks:
-        enumerated = generator._level_block(
-            subsets, mask, graph, query, required,
-            alias_to_relation, query_connected,
-        )
-        out[mask] = (subsets.get(mask, {}), enumerated)
-    return out
 
 
 def _plan_properties(plan: Plan) -> AnswerProperties:

@@ -22,16 +22,13 @@ performs once the final plan is chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.net.messages import Message, MessageKind
 from repro.net.simulator import Network
 from repro.trading.commodity import Offer, RequestForBids
 from repro.trading.seller import SellerAgent
 from repro.trading.valuation import Valuation, WeightedValuation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.offer_farm import OfferFarm
 
 __all__ = [
     "NegotiationProtocol",
@@ -88,15 +85,6 @@ class NegotiationProtocol:
     """Base: registers transient actors on the network per round."""
 
     name = "abstract"
-
-    #: Optional :class:`~repro.parallel.offer_farm.OfferFarm` — when
-    #: attached, rounds precompute seller offers in worker processes.
-    farm: "OfferFarm | None" = None
-
-    def attach_farm(self, farm: "OfferFarm | None") -> "NegotiationProtocol":
-        """Attach (or detach with ``None``) a parallel offer farm."""
-        self.farm = farm
-        return self
 
     def solicit(
         self,
@@ -232,7 +220,6 @@ class BiddingProtocol(NegotiationProtocol):
         timeout: float | None = None,
         max_retries: int = 2,
         backoff: float = 2.0,
-        farm: "OfferFarm | None" = None,
     ):
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
@@ -243,7 +230,6 @@ class BiddingProtocol(NegotiationProtocol):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.farm = farm
 
     def solicit(
         self,
@@ -282,33 +268,16 @@ class BiddingProtocol(NegotiationProtocol):
         expected = sorted(node for node in sellers if node != buyer)
         responded: set[str] = set()
         state = {"closed": False, "timer": None, "timeouts": 0, "retries": 0}
-        # Precompute seller work in worker processes (wall-clock only —
-        # simulated timing and message flow are untouched).  ``None``
-        # means this round runs fully serially.
-        prefetch = (
-            self.farm.prepare(sellers, rfb, exclude=buyer)
-            if self.farm is not None
-            else None
-        )
 
         def seller_handler(net: Network, message: Message) -> None:
             if message.kind is not MessageKind.RFB:
                 return
             agent = sellers[message.recipient]
-            batch = (
-                prefetch.consume(message.recipient, agent, message.payload)
-                if prefetch is not None
-                else None
-            )
-            if batch is not None:
-                offers, work = batch
-            else:
-                offers, work = agent.prepare_offers(message.payload)
+            offers, work = agent.prepare_offers(message.payload)
             done = net.compute(message.recipient, work)
             if net.tracer.enabled:
                 # The booked optimization effort as a span on the
-                # seller's busy timeline (identical whether the offers
-                # came from the farm prefetch or a serial call).
+                # seller's busy timeline.
                 net.tracer.interval(
                     "seller.compute", "trading", site=message.recipient,
                     sim_start=done - work, sim_end=done,
@@ -423,8 +392,6 @@ class BiddingProtocol(NegotiationProtocol):
         issue(0)
         network.run()
         state["closed"] = True
-        if prefetch is not None:
-            prefetch.discard()
         return SolicitResult(
             offers=collected,
             started_at=started,
@@ -493,7 +460,6 @@ class BargainingProtocol(NegotiationProtocol):
         timeout: float | None = None,
         max_retries: int = 2,
         backoff: float = 2.0,
-        farm: "OfferFarm | None" = None,
     ):
         if max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
@@ -503,16 +469,7 @@ class BargainingProtocol(NegotiationProtocol):
         self.concession = concession
         self._bidding = BiddingProtocol(
             timeout=timeout, max_retries=max_retries, backoff=backoff,
-            farm=farm,
         )
-        self.farm = farm
-
-    def attach_farm(self, farm: "OfferFarm | None") -> "BargainingProtocol":
-        # Each bargaining round is one bidding round underneath; the
-        # farm must sit on the protocol that actually contacts sellers.
-        self.farm = farm
-        self._bidding.attach_farm(farm)
-        return self
 
     def solicit(
         self,

@@ -235,13 +235,10 @@ class QueryTrader:
 
     def _wire_tracer(self, tracer) -> None:
         """Propagate the network tracer into every layer this trader
-        drives: plan generator, seller agents, their (possibly shared)
-        offer caches, and the protocol's offer farm if one is attached.
+        drives: plan generator, seller agents and their (possibly
+        shared) offer caches.
         """
         self.plan_generator.tracer = tracer
-        farm = getattr(self.protocol, "farm", None)
-        if farm is not None:
-            farm.tracer = tracer
         seen: set[int] = set()
         for agent in self.sellers.values():
             agent.tracer = tracer

@@ -1,5 +1,10 @@
 """Unit tests for the benchmark harness and experiment plumbing."""
 
+import importlib.util
+import inspect
+import pathlib
+import sys
+
 import pytest
 
 from repro.bench import (
@@ -116,3 +121,31 @@ class TestExperimentsSmoke:
         off, on = table.rows
         assert float(on[1]) < float(off[1])  # plan cost
         assert on[2] > off[2]  # messages
+
+
+def test_frozen_benchmark_contract(monkeypatch):
+    """What ``benchmarks/e2e`` (not editable alongside ``src/``) needs.
+
+    Every span target must be defined directly on its class/module, as
+    ``spans.install`` resolves it; ``trade.py::_parallel_speedup`` calls
+    ``run_qt(..., workers=w)`` and imports the two pool helpers.
+    """
+    path = (
+        pathlib.Path(__file__).resolve().parent.parent
+        / "benchmarks" / "e2e" / "spans.py"
+    )
+    spec = importlib.util.spec_from_file_location("e2e_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # for @dataclass
+    spec.loader.exec_module(spans)
+    for target in spans.targets():
+        holder = importlib.import_module(target.module)
+        if target.owner is not None:
+            holder = getattr(holder, target.owner)
+        assert target.attr in vars(holder), (target.module, target.owner,
+                                             target.attr)
+
+    assert "workers" in inspect.signature(run_qt).parameters
+    pool_helpers = importlib.import_module("repro.parallel")
+    assert callable(pool_helpers.warm_pool)
+    assert callable(pool_helpers.shutdown_pools)

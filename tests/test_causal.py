@@ -3,7 +3,7 @@
 The contract under test (``repro.obs.causal`` / ``repro.obs.critpath``):
 
 * the DAG is built from causal ids and record *args* only, so the same
-  seed produces the same bytes on every run, worker count, and clock;
+  seed produces the same bytes on every run and clock;
 * the critical-path replay recomputes the session timeline from the
   deterministic args (per-delivery ``lat``, compute ``work``, armed
   deadlines) and reproduces the simulated optimization time *bitwise*;
@@ -41,19 +41,18 @@ def world():
     return build_world(nodes=6, n_relations=4, fragments=2, replicas=2, seed=7)
 
 
-def _traced(world, query, *, plan=None, timeout=None, workers=None):
+def _traced(world, query, *, plan=None, timeout=None):
     """One traced run; returns (measurement, tracer)."""
     commodity._offer_ids = itertools.count(1)
     tracer = Tracer()
     if plan is not None:
         m = run_qt_faulty(
             world, query, plan, timeout=timeout, mode="dp",
-            workers=workers, offer_cache=None, use_offer_cache=False,
-            tracer=tracer,
+            offer_cache=None, use_offer_cache=False, tracer=tracer,
         )
     else:
         m = run_qt(
-            world, query, mode="dp", workers=workers, offer_cache=None,
+            world, query, mode="dp", offer_cache=None,
             use_offer_cache=False, tracer=tracer,
         )
     assert m.found
@@ -93,15 +92,6 @@ class TestCausalDag:
         assert (
             CausalDag.from_records(tracer_a.records).to_json()
             == CausalDag.from_records(tracer_b.records).to_json()
-        )
-
-    def test_worker_count_invisible(self, world):
-        query = chain_query(3, selection_cat=3)
-        _, serial = _traced(world, query, workers=1)
-        _, parallel = _traced(world, query, workers=4)
-        assert (
-            CausalDag.from_records(serial.records).to_json()
-            == CausalDag.from_records(parallel.records).to_json()
         )
 
     def test_faulty_dag_carries_verdicts(self, world):
@@ -193,15 +183,6 @@ class TestCriticalPath:
         assert (
             CriticalPath.from_records(tracer_a.records).to_json()
             == CriticalPath.from_records(tracer_b.records).to_json()
-        )
-
-    def test_worker_count_invisible(self, world):
-        query = chain_query(3, selection_cat=3)
-        _, serial = _traced(world, query, workers=1)
-        _, parallel = _traced(world, query, workers=4)
-        assert (
-            CriticalPath.from_records(serial.records).to_json()
-            == CriticalPath.from_records(parallel.records).to_json()
         )
 
     def test_from_rows_matches_from_records(self, world):

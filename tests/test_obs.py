@@ -6,7 +6,7 @@ Pins the three contracts ``docs/OBSERVABILITY.md`` promises:
   changes no field of the trading result, across the E1–E3 experiment
   axes (query size, federation size, generator mode);
 * **determinism** — the deterministic JSONL export of a traced run is
-  byte-identical between ``workers=1`` and ``workers=4``;
+  byte-identical between two runs of the same negotiation;
 * **fidelity** — the recorded events reconcile exactly with the
   independent counters the system already keeps (``NetworkStats``,
   ``CacheStats``, the fault injector's log).
@@ -23,7 +23,6 @@ from repro.faults import FaultPlan, LinkFaults
 from repro.net import MessageKind, Network
 from repro.net.simulator import Simulator
 from repro.obs import (
-    CAT_PARALLEL,
     NULL_TRACER,
     MetricsRegistry,
     RunTelemetry,
@@ -92,20 +91,6 @@ def test_unbound_tracer_stamps_zero_sim_time():
     tracer = Tracer()
     tracer.event("e", "t")
     assert tracer.records[0].sim_start == 0.0
-
-
-def test_absorb_restamps_worker_records():
-    worker = Tracer()  # unbound, as in a pool worker
-    with worker.span("prepare", "trading", site="node1"):
-        worker.event("cache.miss", "cache", site="node1")
-    parent = Tracer(sim=_FakeSim(7.0))
-    with parent.span("solicit", "trading") as _sp:
-        parent.absorb(worker.records)
-    solicit, prepare, miss = parent.records
-    assert prepare.sim_start == 7.0 and miss.sim_start == 7.0
-    assert prepare.parent_id == solicit.span_id  # remapped to open span
-    assert miss.parent_id == prepare.span_id  # internal structure kept
-    assert [r.seq for r in parent.records] == [0, 1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -188,32 +173,33 @@ def test_disabled_tracer_leaves_telemetry_unset():
 
 
 # ----------------------------------------------------------------------
-# Deterministic export: serial vs parallel byte-identity
+# Deterministic export: run-vs-run byte-identity
 # ----------------------------------------------------------------------
-def _traced_jsonl(workers: int) -> str:
+def _traced_jsonl() -> str:
     commodity._offer_ids = itertools.count(1)
     world = build_world(nodes=8, n_relations=4, fragments=3, seed=7)
     tracer = Tracer()
-    m = run_qt(world, chain_query(3), workers=workers,
-               offer_cache=OfferCache(), tracer=tracer)
+    m = run_qt(world, chain_query(3), offer_cache=OfferCache(), tracer=tracer)
     assert m.found
     return "\n".join(jsonl_lines(tracer.records))
 
 
-def test_jsonl_byte_identical_serial_vs_parallel():
-    assert _traced_jsonl(1) == _traced_jsonl(4)
+def test_jsonl_byte_identical_across_runs():
+    assert _traced_jsonl() == _traced_jsonl()
 
 
-def test_deterministic_export_drops_parallel_and_wall_fields():
+def test_deterministic_export_resequences_and_drops_wall_fields():
     tracer = Tracer(sim=_FakeSim())
-    tracer.event("farm.prepared", CAT_PARALLEL, sellers=3)
+    tracer.event("earlier.trade", "trading")
     with tracer.span("round", "trading"):
-        pass
-    lines = list(jsonl_lines(tracer.records))
-    assert len(lines) == 1  # parallel-category row filtered out
-    row = json.loads(lines[0])
+        tracer.event("cache.miss", "cache")
+    # Export one trade's slice of a longer-lived tracer.
+    lines = list(jsonl_lines(tracer.records[1:]))
+    assert len(lines) == 2
+    row, child = (json.loads(line) for line in lines)
     assert row["name"] == "round"
-    assert row["seq"] == 0  # re-sequenced after the filter
+    assert row["seq"] == 0 and row["span_id"] == 0  # re-sequenced
+    assert child["parent_id"] == 0  # parents follow the remap
     assert "wall_start" not in row and "wall_ms" not in row
 
 

@@ -1,22 +1,18 @@
-"""Tier-1 coverage of the parallel trading engine (fast variants).
-
-The full axis sweep lives in ``benchmarks/test_ep_equivalence.py``;
-here one small federation checks each layer's byte-equivalence contract
-plus the supporting refactors (cached structural hashes, the shared
-coverage key, pickle hygiene for the optimizer's singletons).
+"""Tier-1 coverage of ``repro.parallel`` (pool, LPT partition, sweep
+runner) plus the memo/pickle-hygiene rules that results shipped between
+processes rely on (cached structural hashes, the shared coverage key,
+the optimizer's singletons).
 """
 
-import itertools
 import pickle
 import random
 
+import pytest
+
 import repro.trading.commodity as commodity
-from repro.bench.harness import build_world, run_qt
 from repro.parallel import (
-    OfferFarm,
+    RUNNERS,
     SweepJob,
-    bucket_loads,
-    imbalance_ratio,
     lpt_partition,
     run_chunks,
     run_sweep,
@@ -26,58 +22,7 @@ from repro.parallel import (
 from repro.sql.expr import TRUE, FALSE, And, Column, Comparison, Literal
 from repro.sql.query import SPJQuery
 from repro.sql.schema import RelationRef
-from repro.trading import (
-    BuyerPlanGenerator,
-    OfferCache,
-    RequestForBids,
-    SellerAgent,
-)
 from repro.workload import chain_query
-
-
-def _small_world():
-    return build_world(nodes=8, n_relations=4, fragments=3, replicas=2, seed=7)
-
-
-def _trade_signature(workers: int):
-    commodity._offer_ids = itertools.count(1)
-    world = _small_world()
-    query = chain_query(3, selection_cat=3)
-    m = run_qt(world, query, workers=workers, offer_cache=OfferCache())
-    return (
-        m.found, m.plan_cost, m.optimization_time, m.messages, m.iterations,
-        m.offers, m.cache_hits, m.cache_misses, m.plan_explain,
-    )
-
-
-def test_workers2_trade_byte_identical():
-    assert _trade_signature(1) == _trade_signature(2)
-
-
-def test_partitioned_buyer_dp_equivalence():
-    commodity._offer_ids = itertools.count(1)
-    world = _small_world()
-    query = chain_query(4, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node), world.builder, use_offer_cache=False
-        )
-        node_offers, _ = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-    serial = BuyerPlanGenerator(world.builder, "client").generate(query, offers)
-    # threshold=1 forces the process-pool path even for this tiny frontier
-    parallel = BuyerPlanGenerator(
-        world.builder, "client", workers=2, parallel_threshold=1
-    ).generate(query, offers)
-    assert serial.enumerated == parallel.enumerated
-    assert serial.best.plan.explain() == parallel.best.plan.explain()
-    assert [c.value for c in serial.candidates] == [
-        c.value for c in parallel.candidates
-    ]
 
 
 def test_lpt_partition_properties():
@@ -102,107 +47,13 @@ def test_lpt_partition_properties():
                 assert group == sorted(group)
             assert len(assignment) <= min(buckets, len(weights) or 1)
             # List-scheduling bound: max load <= total/k + max item.
-            loads = bucket_loads(assignment, weights)
+            loads = [sum(weights[i] for i in group) for group in assignment]
             if weights and sum(weights) > 0:
                 k = min(buckets, len(weights))
                 bound = sum(weights) / k + max(weights)
                 assert max(loads) <= bound + 1e-9
-                assert imbalance_ratio(loads) >= 1.0 - 1e-9
             # Deterministic: the same inputs give the same partition.
             assert lpt_partition(weights, buckets) == assignment
-
-
-def test_full_lattice_buyer_dp_equivalence():
-    """Multi-level parallel lattice matches serial byte-for-byte."""
-    commodity._offer_ids = itertools.count(1)
-    world = build_world(nodes=8, n_relations=7, fragments=3, replicas=2,
-                        seed=7)
-    query = chain_query(6, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node), world.builder, use_offer_cache=False
-        )
-        node_offers, _ = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-
-    def signature(workers):
-        result = BuyerPlanGenerator(
-            world.builder, "client", workers=workers, parallel_threshold=1
-        ).generate(query, offers)
-        return (
-            result.enumerated,
-            [(c.value, c.plan.explain()) for c in result.candidates],
-        )
-
-    # threshold=1 ships every eligible level (sizes 2..6) to the pool
-    assert signature(1) == signature(4)
-
-
-def test_twelve_join_buyer_dp_byte_identical():
-    """The acceptance case: a 12-join lattice at workers ∈ {1, 4}.
-
-    Sellers use IDP local optimizers so offer generation stays cheap —
-    the subject under test is the buyer's full-lattice parallel DP.
-    """
-    from repro.optimizer import IDPOptimizer
-
-    commodity._offer_ids = itertools.count(1)
-    world = build_world(nodes=6, n_relations=13, fragments=2, replicas=2,
-                        seed=7)
-    query = chain_query(13)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in world.nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(
-            world.catalog.local(node), world.builder,
-            optimizer=IDPOptimizer(world.builder), use_offer_cache=False,
-        )
-        node_offers, _ = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-
-    def signature(workers):
-        result = BuyerPlanGenerator(
-            world.builder, "client", workers=workers
-        ).generate(query, offers)
-        return (
-            result.enumerated,
-            [(c.value, c.plan.explain()) for c in result.candidates],
-        )
-
-    assert signature(1) == signature(4)
-
-
-def test_seller_dp_parallel_equivalence():
-    """The seller-side DP/IDP reuses the lattice partitioner unchanged."""
-    from repro.optimizer import DynamicProgrammingOptimizer, IDPOptimizer
-
-    world = build_world(nodes=6, n_relations=9, fragments=2, replicas=2,
-                        seed=7)
-    query = chain_query(8)
-    site = world.nodes[1]
-
-    def signature(result):
-        return (
-            result.enumerated,
-            result.plan.explain() if result.plan else None,
-            [
-                (tuple(sorted(subset)), plan.explain())
-                for subset, plan in result.best.items()
-            ],
-        )
-
-    for cls in (DynamicProgrammingOptimizer, IDPOptimizer):
-        serial = cls(world.builder).optimize(query, site)
-        parallel = cls(
-            world.builder, workers=2, parallel_threshold=1
-        ).optimize(query, site)
-        assert signature(serial) == signature(parallel), cls.__name__
 
 
 def test_warm_pool_and_shutdown_idempotent():
@@ -244,47 +95,6 @@ def test_sweep_chunked_path_equivalence():
     ]
 
 
-def test_offer_farm_round_matches_serial():
-    world = _small_world()
-    query = chain_query(3, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    sellers = world.seller_agents(offer_cache=OfferCache())
-
-    commodity._offer_ids = itertools.count(1)
-    serial = {}
-    for node in sorted(sellers):
-        serial[node] = sellers[node].prepare_offers(rfb)
-
-    commodity._offer_ids = itertools.count(1)
-    sellers2 = world.seller_agents(offer_cache=OfferCache())
-    farm = OfferFarm(workers=2)
-    prefetch = farm.prepare(sellers2, rfb, exclude="client")
-    assert prefetch is not None
-    for node in sorted(sellers2):
-        batch = prefetch.consume(node, sellers2[node], rfb)
-        assert batch is not None
-        offers, work = batch
-        ref_offers, ref_work = serial[node]
-        assert work == ref_work
-        assert [o.describe() for o in offers] == [
-            o.describe() for o in ref_offers
-        ]
-        # Second consume (a fault-duplicated delivery) must defer to the
-        # serial path.
-        assert prefetch.consume(node, sellers2[node], rfb) is None
-
-
-def test_offer_farm_serial_fallbacks():
-    world = _small_world()
-    query = chain_query(2, selection_cat=3)
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    sellers = world.seller_agents()
-    assert OfferFarm(workers=1).prepare(sellers, rfb) is None
-    # Subcontracting sellers hold live network references: never farmed.
-    next(iter(sellers.values())).subcontractor = object()
-    assert OfferFarm(workers=2).prepare(sellers, rfb) is None
-
-
 def test_run_sweep_order_stable():
     jobs = [
         SweepJob(
@@ -308,18 +118,37 @@ def test_run_sweep_order_stable():
     ]
 
 
-def test_offer_cache_site_snapshot():
-    cache = OfferCache(max_entries=4)
-    key_a = ("q1", (("r0", (0,)),), "node1", None, "dp")
-    key_b = ("q1", (("r0", (0,)),), "node2", None, "dp")
-    cache.store(key_a, "result-a")
-    cache.store(key_b, "result-b")
-    snap = cache.snapshot_for_site("node1")
-    assert len(snap) == 1 and snap.lookup(key_a) == "result-a"
-    assert snap.stats.hits == 1 and cache.stats.hits == 0
-    snap.store(key_b[:2] + ("node1", None, "idp"), "result-c")
-    delta = snap.new_entries_since(cache.snapshot_for_site("node1"))
-    assert [entry[1] for entry in delta] == ["result-c"]
+_IN_PROCESS_CALLS: list[str] = []
+
+
+def _failing_runner(world, query, **_kwargs):
+    # Workers append to their own forked copy; the parent's list only
+    # grows if the job is (re-)run in-process.
+    _IN_PROCESS_CALLS.append("called")
+    raise ValueError("runner failed")
+
+
+def test_run_sweep_propagates_job_errors(monkeypatch):
+    """A job's own exception surfaces from the pool; only an unavailable
+    pool makes the sweep fall back to running every job in-process."""
+    monkeypatch.setitem(RUNNERS, "failing", _failing_runner)
+    shutdown_pools()  # fork fresh workers that see the registration
+    _IN_PROCESS_CALLS.clear()
+    jobs = [
+        SweepJob(
+            label=f"bad-{i}",
+            runner="failing",
+            world={"nodes": 4, "n_relations": 2, "seed": 7},
+            query={"n_relations": 2},
+        )
+        for i in range(2)
+    ]
+    try:
+        with pytest.raises(ValueError, match="runner failed"):
+            run_sweep(jobs, workers=2)
+        assert _IN_PROCESS_CALLS == []
+    finally:
+        shutdown_pools()
 
 
 def test_offer_coverage_key_cached_and_shared():
