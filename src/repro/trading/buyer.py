@@ -19,6 +19,11 @@ the *fragment-aligned* space with dynamic programming:
   aligned partial aggregates); raw entries get the buyer's own
   aggregation/sort glue on top.
 
+Inside one ``generate`` call a rectangle is a single ``int`` (see
+:class:`_Rectangles`), so "may these union" is an XOR and a merge is an
+``|``; each entry carries the money and freshness of its purchased
+leaves and is scored under the buyer's valuation once, when it is built.
+
 The buyer-side DP can also run in IDP-M(2, m) mode ("after evaluating all
 2-way join sub-plans, it keeps the best five of them"), the paper's
 scalable variant.
@@ -34,6 +39,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -42,12 +48,7 @@ from repro.optimizer.plans import Plan, PlanBuilder, Purchased
 from repro.sql.expr import Expr, TRUE, conjoin, restriction_overlaps
 from repro.sql.query import Aggregate, SPJQuery
 from repro.sql.schema import PartitionScheme
-from repro.trading.commodity import (
-    AnswerProperties,
-    CoverageKey,
-    Offer,
-    coverage_key as _coverage_key,
-)
+from repro.trading.commodity import AnswerProperties, Offer
 from repro.trading.valuation import Valuation, WeightedValuation
 
 __all__ = [
@@ -61,20 +62,110 @@ RAW = "raw"
 FINAL = "final"
 
 
-@dataclass
-class _Entry:
-    plan: Plan
-    coverage: dict[str, frozenset[int]]
-    form: str  # RAW or FINAL
-    complete: bool = False  # covers every required fragment of its aliases
-    _key_memo: tuple[CoverageKey, str] | None = None
+class _Rectangles:
+    """One query's fragment rectangles packed into ints.
 
-    def key(self) -> tuple[CoverageKey, str]:
-        # Coverage dicts are never mutated after construction (merges
-        # build fresh dicts), so the sorted key is computed once.
-        if self._key_memo is None:
-            self._key_memo = (_coverage_key(self.coverage), self.form)
-        return self._key_memo
+    Each alias owns one bit field (aliases in ``JoinGraph`` bit order)
+    with one bit per *required* fragment in ascending id order, so the
+    lowest set bit of a field is that alias's smallest fragment.  An
+    alias outside a rectangle has an empty field; an alias inside it
+    never does.  Built per ``generate`` call — the layout depends on the
+    query — and never stored on the generator.
+    """
+
+    __slots__ = ("_bits", "_fields", "_field_at")
+
+    def __init__(
+        self,
+        aliases: Sequence[str],
+        required: Mapping[str, frozenset[int]],
+    ):
+        #: alias -> {fragment id: its bit}
+        self._bits: dict[str, dict[int, int]] = {}
+        #: alias index -> mask of that alias's field
+        self._fields: list[int] = []
+        #: bit position -> mask of the field holding it
+        self._field_at: list[int] = []
+        offset = 0
+        for alias in aliases:
+            fids = sorted(required[alias])
+            self._bits[alias] = {
+                fid: 1 << (offset + i) for i, fid in enumerate(fids)
+            }
+            field = ((1 << len(fids)) - 1) << offset
+            self._fields.append(field)
+            self._field_at.extend([field] * len(fids))
+            offset += len(fids)
+
+    def encode(self, coverage: Mapping[str, Iterable[int]]) -> int:
+        """The rectangle of *coverage* (required fragments only)."""
+        rect = 0
+        for alias, fids in coverage.items():
+            bits = self._bits[alias]
+            for fid in fids:
+                rect |= bits[fid]
+        return rect
+
+    def required(self, subset: int) -> int:
+        """The rectangle holding every required fragment of the alias
+        subset *subset* (a ``JoinGraph`` mask): an entry over *subset* is
+        complete exactly when its rectangle equals this."""
+        rect = 0
+        for i in JoinGraph.bits(subset):
+            rect |= self._fields[i]
+        return rect
+
+    def union_pivot(self, a: int, b: int) -> int:
+        """The lowest fragment bit on which *a* and *b* differ if the two
+        (over the same aliases) may union — they agree on every alias but
+        one and are disjoint there — else 0.  Join distributes over union
+        only under this condition; the union's rectangle is ``a | b``,
+        and the operand holding the pivot has the smaller minimum
+        fragment on the differing alias."""
+        differ = a ^ b
+        if not differ:
+            return 0  # identical rectangles: union would double-count
+        pivot = differ & -differ
+        field = self._field_at[pivot.bit_length() - 1]
+        if differ & ~field or a & b & field:
+            return 0  # a second alias differs, or fragments overlap
+        return pivot
+
+
+class _Entry:
+    """A plan for one alias subset over one fragment rectangle.
+
+    ``monies`` are its purchased leaves' charges in leaf order and
+    ``money`` their left-to-right sum (float addition is not
+    associative, and valuations may weigh money); ``score`` is the
+    buyer's valuation of the plan, computed once.
+    """
+
+    __slots__ = (
+        "plan", "rect", "form", "key", "complete",
+        "monies", "money", "freshness", "score",
+    )
+
+    def __init__(
+        self,
+        plan: Plan,
+        rect: int,
+        form: str,  # RAW or FINAL
+        complete: bool,  # covers every required fragment of its aliases
+        monies: tuple[float, ...],
+        money: float,
+        freshness: float,
+        score: float,
+    ):
+        self.plan = plan
+        self.rect = rect
+        self.form = form
+        self.key = (rect, form)
+        self.complete = complete
+        self.monies = monies
+        self.money = money
+        self.freshness = freshness
+        self.score = score
 
 
 @dataclass(frozen=True)
@@ -154,15 +245,28 @@ class BuyerPlanGenerator:
         return required
 
     # ------------------------------------------------------------------
-    def generate(self, query: SPJQuery, offers: Sequence[Offer]) -> PlanGenResult:
+    def generate(
+        self,
+        query: SPJQuery,
+        offers: Sequence[Offer],
+        *,
+        required: Mapping[str, frozenset[int]] | None = None,
+    ) -> PlanGenResult:
+        """Candidate plans for *query* out of *offers*.
+
+        *required* is ``required_coverage(query)`` when the caller
+        already holds it (the trader derives it once per trade).
+        """
+        if required is None:
+            required = self.required_coverage(query)
         tracer = self.tracer
         if not tracer.enabled:
-            return self._generate(query, offers)
+            return self._generate(query, offers, required)
         with tracer.span(
             "buyer.plangen", "trading", site=self.buyer_site,
             mode=self.mode, offers=len(offers),
         ) as span:
-            result = self._generate(query, offers)
+            result = self._generate(query, offers, required)
             span.set(
                 enumerated=result.enumerated,
                 candidates=len(result.candidates),
@@ -171,15 +275,18 @@ class BuyerPlanGenerator:
             return result
 
     def _generate(
-        self, query: SPJQuery, offers: Sequence[Offer]
+        self,
+        query: SPJQuery,
+        offers: Sequence[Offer],
+        required: Mapping[str, frozenset[int]],
     ) -> PlanGenResult:
         aliases = frozenset(query.aliases)
         alias_to_relation = {r.alias: r.name for r in query.relations}
-        required = self.required_coverage(query)
         if any(not fids for fids in required.values()):
             return PlanGenResult(best=None)  # unsatisfiable selection
         conjuncts = query.predicate.conjuncts()
         graph = JoinGraph(aliases, conjuncts)
+        rects = _Rectangles(graph.aliases, required)
         enumerated = 0
 
         # Seed entries from offers.  An entry is FINAL only when the
@@ -220,18 +327,27 @@ class BuyerPlanGenerator:
                 money=offer.properties.money,
                 freshness=offer.properties.freshness,
             )
+            subset = graph.mask_of(offer.aliases)
+            rect = rects.encode(coverage)
+            # The one-leaf case of the folds `_combined` continues.
+            money = 0.0 + plan.money
+            freshness = min(1.0, plan.freshness)
             entry = _Entry(
-                plan=plan,
-                coverage=coverage,
-                form=form,
-                complete=_is_complete(coverage, required),
+                plan,
+                rect,
+                form,
+                rect == rects.required(subset),
+                (plan.money,),
+                money,
+                freshness,
+                self.valuation(_properties(plan, money, freshness)),
             )
-            self._add_entry(subsets, graph.mask_of(offer.aliases), entry)
+            self._add_entry(subsets, subset, entry)
             enumerated += 1
 
         # Union closure at seed level.
         for subset in list(subsets):
-            enumerated += self._union_closure(subsets, subset, query, required)
+            enumerated += self._union_closure(subsets, subset, query, rects)
 
         # Join DP over alias subsets.  For connected queries, only
         # connected subsets are enumerated (cross-product avoidance); when
@@ -241,7 +357,7 @@ class BuyerPlanGenerator:
         for size in range(2, graph.n + 1):
             for mask in graph.level_masks(size, connected_only=query_connected):
                 enumerated += self._level_block(
-                    subsets, mask, graph, query, required,
+                    subsets, mask, graph, query, rects,
                     alias_to_relation, query_connected,
                 )
             if self.mode == "idp" and size == 2:
@@ -260,7 +376,14 @@ class BuyerPlanGenerator:
                     self.builder.collocate(plan, self.buyer_site),
                     query.order_by,
                 )
-            candidates.append(self._candidate(plan))
+            properties = _properties(plan, entry.money, entry.freshness)
+            candidates.append(
+                CandidatePlan(
+                    plan=plan,
+                    properties=properties,
+                    value=self.valuation(properties),
+                )
+            )
         candidates.sort(key=lambda c: c.value)
         best = candidates[0] if candidates else None
         return PlanGenResult(best=best, candidates=candidates, enumerated=enumerated)
@@ -272,7 +395,7 @@ class BuyerPlanGenerator:
         mask: int,
         graph: JoinGraph,
         query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
+        rects: _Rectangles,
         alias_to_relation: Mapping[str, str],
         query_connected: bool,
     ) -> int:
@@ -291,8 +414,9 @@ class BuyerPlanGenerator:
             connecting = graph.connecting(left, right)
             if not connecting and not allow_cross:
                 continue
+            right_participants = self._join_participants(right_entries)
             for le in self._join_participants(left_entries):
-                for re_ in self._join_participants(right_entries):
+                for re_ in right_participants:
                     joined = self.builder.join(
                         le.plan,
                         re_.plan,
@@ -301,34 +425,51 @@ class BuyerPlanGenerator:
                         site=self.buyer_site,
                     )
                     enumerated += 1
-                    coverage = {**le.coverage, **re_.coverage}
-                    entry = _Entry(
-                        plan=joined,
-                        coverage=coverage,
-                        form=RAW,
-                        complete=_is_complete(coverage, required),
+                    entry = self._combined(
+                        joined,
+                        le.rect | re_.rect,
+                        RAW,
+                        le.complete and re_.complete,
+                        le,
+                        re_,
                     )
                     self._add_entry(subsets, mask, entry)
-        enumerated += self._union_closure(subsets, mask, query, required)
+        enumerated += self._union_closure(subsets, mask, query, rects)
         self._prune(subsets, mask)
         return enumerated
 
     # ------------------------------------------------------------------
-    def _candidate(self, plan: Plan) -> CandidatePlan:
-        properties = _plan_properties(plan)
-        return CandidatePlan(
-            plan=plan, properties=properties, value=self.valuation(properties)
-        )
-
-    def _entry_score(self, entry: "_Entry") -> float:
-        """Valuation-driven ranking of competing entries.
+    def _combined(
+        self,
+        plan: Plan,
+        rect: int,
+        form: str,
+        complete: bool,
+        a: _Entry,
+        b: _Entry,
+    ) -> _Entry:
+        """The entry for *plan*, a join or union whose purchased leaves
+        are *a*'s followed by *b*'s, scored under the buyer's valuation.
 
         Entries with identical coverage may come from different sellers
         (replicas) with different prices and freshness; ranking them
         under the buyer's own valuation keeps e.g. staleness-averse
         buyers from locking in cheap-but-stale purchases during plan
         generation."""
-        return self.valuation(_plan_properties(entry.plan))
+        money = a.money
+        for amount in b.monies:  # continue the sum in leaf order
+            money += amount
+        freshness = min(a.freshness, b.freshness)
+        return _Entry(
+            plan,
+            rect,
+            form,
+            complete,
+            a.monies + b.monies,
+            money,
+            freshness,
+            self.valuation(_properties(plan, money, freshness)),
+        )
 
     def _finish(
         self,
@@ -353,9 +494,8 @@ class BuyerPlanGenerator:
         return plan
 
     # ------------------------------------------------------------------
-    # Bucket helpers.  *subsets* is keyed by alias-subset bitmask in the
-    # production path (see JoinGraph); the helpers never inspect the key,
-    # so the frozenset-keyed reference path reuses them unchanged.
+    # Bucket helpers.  *subsets* is keyed by alias-subset bitmask (see
+    # JoinGraph); a bucket is keyed by ``(rectangle, form)``.
     def _add_entry(
         self,
         subsets: dict[int, dict[tuple, _Entry]],
@@ -363,19 +503,16 @@ class BuyerPlanGenerator:
         entry: _Entry,
     ) -> bool:
         bucket = subsets.setdefault(subset, {})
-        key = entry.key()
-        current = bucket.get(key)
-        if current is None or self._entry_score(entry) < self._entry_score(
-            current
-        ):
-            bucket[key] = entry
+        current = bucket.get(entry.key)
+        if current is None or entry.score < current.score:
+            bucket[entry.key] = entry
             return True
         return False
 
     def _join_participants(self, bucket: dict[tuple, _Entry]) -> list[_Entry]:
         """Raw entries worth joining: complete ones first, then cheapest."""
         raws = [e for e in bucket.values() if e.form == RAW]
-        raws.sort(key=lambda e: (not e.complete, self._entry_score(e)))
+        raws.sort(key=lambda e: (not e.complete, e.score))
         return raws[: self.max_join_fanin]
 
     def _union_closure(
@@ -383,7 +520,7 @@ class BuyerPlanGenerator:
         subsets: dict[int, dict[tuple, _Entry]],
         subset: int,
         query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
+        rects: _Rectangles,
     ) -> int:
         """Bounded best-first merging of fragment-rectangle entries.
 
@@ -399,64 +536,52 @@ class BuyerPlanGenerator:
         if not bucket or len(bucket) < 2:
             return 0
         enumerated = 0
+        full = rects.required(subset)
         counter = count()
         heap: list[tuple[float, int, _Entry]] = [
-            (self._entry_score(e), next(counter), e) for e in bucket.values()
+            (e.score, next(counter), e) for e in bucket.values()
         ]
         heapq.heapify(heap)
         pops = 0
         while heap and pops < self.union_budget:
             _cost, _seq, a = heapq.heappop(heap)
-            if bucket.get(a.key()) is not a:
+            if bucket.get(a.key) is not a:
                 continue  # evicted or superseded
             pops += 1
+            rect, form = a.rect, a.form
             for b in list(bucket.values()):
-                if b is a or b.form != a.form:
+                if b is a or b.form != form:
                     continue
-                merged = _union_coverage(a.coverage, b.coverage)
-                if merged is None:
-                    continue
-                differing, coverage = merged
-                if min(a.coverage[differing]) > min(b.coverage[differing]):
-                    continue  # canonical orientation only
-                entry = self._union_entry(a, b, coverage, query, required)
+                if not rect & rects.union_pivot(rect, b.rect):
+                    continue  # not unionable, or not canonically oriented
+                entry = self._union_entry(a, b, query, full)
                 enumerated += 1
                 if self._add_entry(subsets, subset, entry):
-                    heapq.heappush(
-                        heap,
-                        (self._entry_score(entry), next(counter), entry),
-                    )
+                    heapq.heappush(heap, (entry.score, next(counter), entry))
             if len(bucket) > self.max_entries_per_subset * 4:
                 self._prune(subsets, subset, cap=self.max_entries_per_subset * 2)
                 bucket = subsets[subset]
-        enumerated += self._greedy_complete(subsets, subset, query, required)
+        enumerated += self._greedy_complete(subsets, subset, query, rects)
         return enumerated
 
     def _union_entry(
-        self,
-        a: _Entry,
-        b: _Entry,
-        coverage: dict[str, frozenset[int]],
-        query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
+        self, a: _Entry, b: _Entry, query: SPJQuery, full: int
     ) -> _Entry:
+        """The union of unionable *a* and *b*; *full* is the complete
+        rectangle of their alias subset."""
         distinct = a.form == FINAL and query.distinct
         plan = self.builder.union(
             [a.plan, b.plan], self.buyer_site, distinct=distinct
         )
-        return _Entry(
-            plan=plan,
-            coverage=coverage,
-            form=a.form,
-            complete=_is_complete(coverage, required),
-        )
+        rect = a.rect | b.rect
+        return self._combined(plan, rect, a.form, rect == full, a, b)
 
     def _greedy_complete(
         self,
         subsets: dict[int, dict[tuple, _Entry]],
         subset: int,
         query: SPJQuery,
-        required: Mapping[str, frozenset[int]],
+        rects: _Rectangles,
     ) -> int:
         """Ensure a complete entry exists per form when pieces allow it.
 
@@ -467,12 +592,13 @@ class BuyerPlanGenerator:
         if not bucket:
             return 0
         enumerated = 0
+        full = rects.required(subset)
         for form in (RAW, FINAL):
             if any(e.complete for e in bucket.values() if e.form == form):
                 continue
             pieces = sorted(
                 (e for e in bucket.values() if e.form == form),
-                key=self._entry_score,
+                key=attrgetter("score"),
             )
             if not pieces:
                 continue
@@ -482,12 +608,10 @@ class BuyerPlanGenerator:
                 while not current.complete and not stuck:
                     stuck = True
                     for piece in pieces:
-                        merged = _union_coverage(current.coverage, piece.coverage)
-                        if merged is None:
+                        if not rects.union_pivot(current.rect, piece.rect):
                             continue
-                        _differing, coverage = merged
                         current = self._union_entry(
-                            current, piece, coverage, query, required
+                            current, piece, query, full
                         )
                         enumerated += 1
                         stuck = False
@@ -518,7 +642,7 @@ class BuyerPlanGenerator:
         complete = {k: e for k, e in bucket.items() if e.complete}
         incomplete = sorted(
             (item for item in bucket.items() if not item[1].complete),
-            key=lambda kv: self._entry_score(kv[1]),
+            key=lambda kv: kv[1].score,
         )
         room = max(0, cap - len(complete))
         kept = dict(complete)
@@ -547,58 +671,22 @@ class BuyerPlanGenerator:
         ]
         if len(level) <= self.idp_m:
             return
-        level.sort(key=lambda item: self._entry_score(item[2]))
+        level.sort(key=lambda item: item[2].score)
         for subset, key, _entry in level[self.idp_m :]:
             del subsets[subset][key]
 
 
-def _plan_properties(plan: Plan) -> AnswerProperties:
-    """Aggregate a plan's answer properties: response time, purchased
-    payments summed, freshness as the weakest purchased input."""
-    money = 0.0
-    freshness = 1.0
-    for leaf in plan.leaves():
-        if isinstance(leaf, Purchased):
-            money += leaf.money
-            freshness = min(freshness, leaf.freshness)
+def _properties(
+    plan: Plan, money: float, freshness: float
+) -> AnswerProperties:
+    """A plan's answer properties: response time, plus the payments
+    (summed) and freshness (the weakest) of its purchased inputs."""
     return AnswerProperties(
         total_time=plan.response_time(),
         rows=plan.rows,
         money=money,
         freshness=freshness,
     )
-
-
-def _is_complete(
-    coverage: Mapping[str, frozenset[int]],
-    required: Mapping[str, frozenset[int]],
-) -> bool:
-    """Does *coverage* include every required fragment of its aliases?"""
-    return all(coverage[alias] >= required[alias] for alias in coverage)
-
-
-def _union_coverage(
-    a: Mapping[str, frozenset[int]],
-    b: Mapping[str, frozenset[int]],
-) -> tuple[str, dict[str, frozenset[int]]] | None:
-    """``(differing_alias, merged_rectangle)`` if *a* and *b* differ on
-    exactly one alias with disjoint fragment sets there; ``None``
-    otherwise.  Join distributes over union only under this condition."""
-    if a.keys() != b.keys():
-        return None
-    differing: str | None = None
-    for alias in a:
-        if a[alias] != b[alias]:
-            if differing is not None:
-                return None
-            differing = alias
-    if differing is None:
-        return None  # identical rectangles: union would double-count
-    if a[differing] & b[differing]:
-        return None  # overlapping fragments: union would duplicate rows
-    merged = dict(a)
-    merged[differing] = a[differing] | b[differing]
-    return differing, merged
 
 
 class BuyerPredicatesAnalyser:

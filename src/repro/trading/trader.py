@@ -297,6 +297,9 @@ class QueryTrader:
                     ),
                 )
         queries: list[SPJQuery] = [query]
+        # What the answer must cover is fixed for the trade: the plan
+        # generator and the predicates analyser both read it every round.
+        required = self.plan_generator.required_coverage(query)
         trace: list[IterationTrace] = []
         iterations = 0
         resilience = ResilienceSummary()
@@ -364,7 +367,9 @@ class QueryTrader:
                 # B4: generate candidate plans (buyer-side compute is
                 # booked on the buyer's timeline).
                 all_offers = list(offers.values())
-                plan_result = self.plan_generator.generate(query, all_offers)
+                plan_result = self.plan_generator.generate(
+                    query, all_offers, required=required
+                )
                 plan_work = (
                     plan_result.enumerated
                     * self.plan_generator.seconds_per_plan
@@ -399,7 +404,6 @@ class QueryTrader:
                         )
 
                 # B5/B6: derive new queries.
-                required = self.plan_generator.required_coverage(query)
                 derived = self.analyser.derive(query, all_offers, required)
                 new_queries = [q for q in derived if q.key() not in asked]
 

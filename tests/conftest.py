@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.catalog import FederationConfig, build_federation
@@ -13,7 +17,12 @@ from repro.cost import (
 from repro.net import Network
 from repro.optimizer import PlanBuilder
 from repro.sql import Relation
-from repro.trading import BuyerPlanGenerator, QueryTrader, SellerAgent
+from repro.trading import (
+    BuyerPlanGenerator,
+    QueryTrader,
+    RequestForBids,
+    SellerAgent,
+)
 from repro.workload import build_telecom_scenario
 
 
@@ -72,6 +81,40 @@ def make_trader(catalog, node_list, builder, model, mode="dp", **kwargs):
     }
     plangen = BuyerPlanGenerator(builder, "client", mode=mode)
     return QueryTrader("client", sellers, network, plangen, **kwargs), network
+
+
+def gather_offers(catalog, node_list, builder, query):
+    """Every seller's offers for one RFB carrying *query* alone."""
+    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
+    offers = []
+    for node in node_list:
+        if node == "client":
+            continue
+        agent = SellerAgent(catalog.local(node), builder)
+        node_offers, _work = agent.prepare_offers(rfb)
+        offers.extend(node_offers)
+    return offers
+
+
+GOLDEN_PLANS = Path(__file__).with_name("golden_plans.json")
+
+
+def assert_golden(case: str, enumerated: list[int], texts: list[str]) -> None:
+    """Compare one case with its entry in ``golden_plans.json``.
+
+    The entries were recorded at the commit that retired the frozenset
+    reference loops (``optimizer/reference.py``) — from those loops
+    where one existed, and the bitmask code agreed — so they pin the
+    original enumeration order and plan bytes, not just today's output.
+    A deliberate change to either fails here and prints the new entry
+    to paste into the file.
+    """
+    got = {
+        "enumerated": enumerated,
+        "sha256": hashlib.sha256("\n".join(texts).encode()).hexdigest(),
+    }
+    expected = json.loads(GOLDEN_PLANS.read_text()).get(case)
+    assert got == expected, f"{case}: got {json.dumps(got)}"
 
 
 @pytest.fixture

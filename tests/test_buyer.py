@@ -1,16 +1,23 @@
 """Unit tests for the buyer plan generator and predicates analyser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bench.harness import BUYER, build_world
+from repro.net import Network
 from repro.sql import RelationRef, SPJQuery, column, eq, in_list
-from repro.trading import AnswerProperties, BuyerPlanGenerator, Offer
-from repro.trading.buyer import (
-    BuyerPredicatesAnalyser,
-    _is_complete,
-    _union_coverage,
+from repro.trading import (
+    AnswerProperties,
+    BuyerPlanGenerator,
+    Offer,
+    OfferCache,
+    QueryTrader,
 )
-from repro.workload import chain_query
-from tests.conftest import make_federation
+from repro.trading.buyer import BuyerPredicatesAnalyser, _Rectangles
+from repro.trading.commodity import offer_id_scope
+from repro.trading.valuation import TIME_ONLY, Valuation
+from repro.workload import chain_query, star_query
+from tests.conftest import assert_golden, gather_offers, make_federation
 
 
 @pytest.fixture(scope="module")
@@ -41,54 +48,128 @@ def offer(
     )
 
 
+def rectangles(**required):
+    """A rectangle layout over *required* (alias -> fragment ids)."""
+    return _Rectangles(
+        sorted(required), {a: frozenset(f) for a, f in required.items()}
+    )
+
+
 class TestUnionCoverage:
     def test_merges_single_differing_alias(self):
-        merged = _union_coverage(
-            {"a": frozenset({0}), "b": frozenset({1})},
-            {"a": frozenset({1}), "b": frozenset({1})},
-        )
-        assert merged is not None
-        alias, coverage = merged
-        assert alias == "a"
-        assert coverage["a"] == frozenset({0, 1})
+        rects = rectangles(a={0, 1}, b={1})
+        first = rects.encode({"a": {0}, "b": {1}})
+        second = rects.encode({"a": {1}, "b": {1}})
+        pivot = rects.union_pivot(first, second)
+        assert pivot == rects.encode({"a": {0}})  # differs on a, from 0
+        assert first & pivot and not second & pivot  # first leads
+        assert first | second == rects.encode({"a": {0, 1}, "b": {1}})
 
     def test_rejects_two_differences(self):
-        assert (
-            _union_coverage(
-                {"a": frozenset({0}), "b": frozenset({0})},
-                {"a": frozenset({1}), "b": frozenset({1})},
-            )
-            is None
+        rects = rectangles(a={0, 1}, b={0, 1})
+        assert not rects.union_pivot(
+            rects.encode({"a": {0}, "b": {0}}),
+            rects.encode({"a": {1}, "b": {1}}),
         )
 
     def test_rejects_overlap(self):
-        assert (
-            _union_coverage(
-                {"a": frozenset({0, 1})}, {"a": frozenset({1, 2})}
-            )
-            is None
+        rects = rectangles(a={0, 1, 2})
+        assert not rects.union_pivot(
+            rects.encode({"a": {0, 1}}), rects.encode({"a": {1, 2}})
         )
 
     def test_rejects_identical(self):
-        assert (
-            _union_coverage({"a": frozenset({0})}, {"a": frozenset({0})})
-            is None
+        rects = rectangles(a={0})
+        assert not rects.union_pivot(
+            rects.encode({"a": {0}}), rects.encode({"a": {0}})
         )
 
     def test_rejects_different_aliases(self):
-        assert (
-            _union_coverage({"a": frozenset({0})}, {"b": frozenset({0})})
-            is None
+        rects = rectangles(a={0}, b={0})
+        assert not rects.union_pivot(
+            rects.encode({"a": {0}}), rects.encode({"b": {0}})
         )
 
 
 class TestIsComplete:
     def test_complete(self):
-        required = {"a": frozenset({0, 1}), "b": frozenset({0})}
-        assert _is_complete(
-            {"a": frozenset({0, 1})}, required
-        )
-        assert not _is_complete({"a": frozenset({0})}, required)
+        rects = rectangles(a={0, 1}, b={0})
+        only_a = 0b01  # alias subset mask: bit 0 is "a"
+        assert rects.encode({"a": {0, 1}}) == rects.required(only_a)
+        assert rects.encode({"a": {0}}) != rects.required(only_a)
+
+
+# A rectangle layout and two rectangles over one alias subset of it, as
+# two entries of one bucket are: non-contiguous fragment ids, ids >= 64.
+@st.composite
+def rectangle_pairs(draw):
+    fragment_sets = st.frozensets(
+        st.integers(0, 200), min_size=1, max_size=6
+    )
+    required = {
+        f"r{i}": draw(fragment_sets) for i in range(draw(st.integers(1, 6)))
+    }
+    subset = draw(
+        st.lists(st.sampled_from(sorted(required)), min_size=1, unique=True)
+    )
+
+    def rectangle():
+        return {
+            alias: draw(
+                st.frozensets(
+                    st.sampled_from(sorted(required[alias])), min_size=1
+                )
+            )
+            for alias in subset
+        }
+
+    first = rectangle()
+    # Half the time a near miss: the same rectangle but for one alias,
+    # and there preferably over fragments the first one lacks.
+    second = rectangle()
+    if draw(st.booleans()):
+        changed = draw(st.sampled_from(subset))
+        second = {**first, changed: second[changed]}
+        unused = sorted(required[changed] - first[changed])
+        if unused and draw(st.booleans()):
+            second[changed] = draw(
+                st.frozensets(st.sampled_from(unused), min_size=1)
+            )
+    return required, first, second
+
+
+def union_oracle(a, b):
+    """``(differing alias, merged rectangle)`` if *a* and *b* differ on
+    exactly one alias with disjoint fragment sets there, else ``None``."""
+    differing = [alias for alias in a if a[alias] != b[alias]]
+    if len(differing) != 1 or a[differing[0]] & b[differing[0]]:
+        return None
+    merged = dict(a)
+    merged[differing[0]] |= b[differing[0]]
+    return differing[0], merged
+
+
+class TestRectangles:
+    @settings(max_examples=300, deadline=None)
+    @given(rectangle_pairs())
+    def test_integer_operations_agree_with_sets(self, drawn):
+        required, a, b = drawn
+        aliases = sorted(required)
+        rects = _Rectangles(aliases, required)
+        ra, rb = rects.encode(a), rects.encode(b)
+        pivot = rects.union_pivot(ra, rb)
+        expected = union_oracle(a, b)
+        assert bool(pivot) == (expected is not None)
+        if expected is not None:
+            differing, merged = expected
+            assert ra | rb == rects.encode(merged)
+            # orientation: the operand holding the pivot has the smaller
+            # minimum fragment on the differing alias
+            assert bool(ra & pivot) == (min(a[differing]) < min(b[differing]))
+        subset = sum(1 << aliases.index(alias) for alias in a)
+        for coverage, rect in ((a, ra), (b, rb)):
+            complete = all(coverage[x] >= required[x] for x in coverage)
+            assert (rect == rects.required(subset)) == complete
 
 
 class TestPlanGeneration:
@@ -281,6 +362,71 @@ class TestPlanGeneration:
         result = BuyerPlanGenerator(builder, "client").generate(query, offers)
         values = [c.value for c in result.candidates]
         assert values == sorted(values)
+
+
+class _CountingValuation(Valuation):
+    """The default valuation, counting how often it is asked."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def value(self, properties):
+        self.calls += 1
+        return TIME_ONLY.value(properties)
+
+
+class _RecordingGenerator(BuyerPlanGenerator):
+    """Keeps each round's ``enumerated`` (the trader only keeps the
+    simulated seconds it charges for them)."""
+
+    def generate(self, query, offers, **kwargs):
+        result = super().generate(query, offers, **kwargs)
+        self.rounds.append(result.enumerated)
+        return result
+
+
+class TestLattice:
+    """Guards on the generator's search lattice: the benchmark charges
+    ``enumerated`` to the simulated clock and digests the plan bytes, so
+    an "optimisation" that builds different entries must fail here."""
+
+    def test_each_entry_scored_once(self):
+        catalog, nodes, _est, _model, builder = make_federation(
+            nodes=6, n_relations=6
+        )
+        query = chain_query(6)
+        offers = gather_offers(catalog, nodes, builder, query)
+        valuation = _CountingValuation()
+        result = BuyerPlanGenerator(
+            builder, "client", valuation=valuation
+        ).generate(query, offers)
+        assert result.found
+        assert valuation.calls == result.enumerated + len(result.candidates)
+
+    @pytest.mark.parametrize("shape", ["chain9", "star6"])
+    def test_trade_deep_lattice_pinned(self, shape):
+        query = {
+            "chain9": chain_query(9, selection_cat=3),
+            "star6": star_query(5),
+        }[shape]
+        # The world of the benchmark's trade_deep workload.
+        world = build_world(nodes=32, n_relations=9, fragments=4, replicas=2)
+        generator = _RecordingGenerator(world.builder, BUYER)
+        generator.rounds = []
+        trader = QueryTrader(
+            BUYER,
+            world.seller_agents(offer_cache=OfferCache()),
+            Network(world.model),
+            generator,
+        )
+        with offer_id_scope():
+            result = trader.optimize(query)
+        assert result.found
+        assert_golden(
+            f"trade_deep[{shape}]",
+            generator.rounds,
+            [result.best.plan.explain()],
+        )
 
 
 class TestPredicatesAnalyser:

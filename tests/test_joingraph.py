@@ -1,11 +1,11 @@
 """Equivalence tests: the bitmask :class:`JoinGraph` vs the original
 frozenset-based enumeration helpers and optimizer loops.
 
-The frozenset code (kept verbatim in :mod:`repro.optimizer.reference` and
-as the reference helpers in :mod:`repro.optimizer.dp`) is the executable
-specification; these tests assert the bitmask rewrite matches it exactly
-— same connectivity verdicts, same conjunct order, same enumeration
-order, and byte-identical plans out of DP, IDP, and the buyer generator.
+The frozenset helpers kept in :mod:`repro.optimizer.dp` are the
+executable specification of connectivity, conjunct order and enumeration
+order.  The frozenset optimizer loops themselves are retired; what they
+produced — plans out of DP, IDP, and the buyer generator — is pinned in
+``golden_plans.json`` (see :func:`tests.conftest.assert_golden`).
 """
 
 from __future__ import annotations
@@ -22,17 +22,13 @@ from repro.optimizer.dp import (
     subset_connected,
 )
 from repro.optimizer.idp import IDPOptimizer
-from repro.optimizer.reference import (
-    ReferenceDynamicProgrammingOptimizer,
-    ReferenceIDPOptimizer,
-    reference_buyer_generate,
-)
 from repro.sql import column
 from repro.sql.expr import Comparison, Or
-from repro.trading import BuyerPlanGenerator, RequestForBids, SellerAgent
+from repro.trading import BuyerPlanGenerator
+from repro.trading.commodity import offer_id_scope
 from repro.workload import chain_query, star_query
 
-from tests.conftest import make_federation
+from tests.conftest import assert_golden, gather_offers, make_federation
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +162,7 @@ def test_mask_roundtrip_and_members():
 
 
 # ----------------------------------------------------------------------
-# Optimizer byte-identity: bitmask DP/IDP vs the reference loops.
+# Optimizer byte-identity: bitmask DP/IDP vs the recorded reference runs.
 # ----------------------------------------------------------------------
 def _queries():
     qs = [chain_query(n) for n in (2, 3, 5, 7)]
@@ -175,75 +171,63 @@ def _queries():
     return qs
 
 
-def _assert_same_result(result, expected):
-    assert result.enumerated == expected.enumerated
-    got_best = {s: p for s, p in result.best.items()}
-    assert list(got_best) == list(expected.best)  # same key *order* too
-    for subset, plan in expected.best.items():
-        assert got_best[subset].explain() == plan.explain()
-        assert got_best[subset].response_time() == plan.response_time()
-    if expected.plan is None:
-        assert result.plan is None
-    else:
-        assert result.plan.explain() == expected.plan.explain()
-        assert result.plan.response_time() == expected.plan.response_time()
+def _result_text(result) -> str:
+    """Everything the reference comparison read off a ``DPResult``: the
+    kept sub-plans in key order, then the finished plan."""
+    lines = []
+    for subset, plan in result.best.items():
+        lines.append(",".join(sorted(subset)))
+        lines.append(plan.explain())
+        lines.append(plan.response_time().hex())
+    if result.plan is not None:
+        lines.append(result.plan.explain())
+        lines.append(result.plan.response_time().hex())
+    return "\n".join(lines)
+
+
+def _assert_golden_results(case, optimizer, site):
+    results = [optimizer.optimize(query, site) for query in _queries()]
+    assert_golden(
+        case,
+        [result.enumerated for result in results],
+        [_result_text(result) for result in results],
+    )
 
 
 def test_dp_byte_identical_to_reference():
     catalog, nodes, _est, _model, builder = make_federation(n_relations=8)
-    site = nodes[0]
-    new = DynamicProgrammingOptimizer(builder)
-    ref = ReferenceDynamicProgrammingOptimizer(builder)
-    for query in _queries():
-        _assert_same_result(
-            new.optimize(query, site), ref.optimize(query, site)
-        )
+    _assert_golden_results(
+        "dp", DynamicProgrammingOptimizer(builder), nodes[0]
+    )
 
 
 @pytest.mark.parametrize("k,m", [(2, 5), (3, 2)])
 def test_idp_byte_identical_to_reference(k, m):
     catalog, nodes, _est, _model, builder = make_federation(n_relations=8)
-    site = nodes[0]
-    new = IDPOptimizer(builder, k=k, m=m)
-    ref = ReferenceIDPOptimizer(builder, k=k, m=m)
-    for query in _queries():
-        _assert_same_result(
-            new.optimize(query, site), ref.optimize(query, site)
-        )
+    _assert_golden_results(
+        f"idp[{k}-{m}]", IDPOptimizer(builder, k=k, m=m), nodes[0]
+    )
 
 
 # ----------------------------------------------------------------------
 # Buyer plan-generation byte-identity over real seller offers.
 # ----------------------------------------------------------------------
-def _gather_offers(catalog, nodes, builder, query):
-    rfb = RequestForBids(buyer="client", queries=(query,), round_number=1)
-    offers = []
-    for node in nodes:
-        if node == "client":
-            continue
-        agent = SellerAgent(catalog.local(node), builder)
-        node_offers, _work = agent.prepare_offers(rfb)
-        offers.extend(node_offers)
-    return offers
-
-
 @pytest.mark.parametrize("mode", ["dp", "idp"])
 def test_buyer_generate_byte_identical_to_reference(mode):
     catalog, nodes, _est, _model, builder = make_federation(
         nodes=6, n_relations=6
     )
-    for query in (chain_query(3), chain_query(5), star_query(3)):
-        offers = _gather_offers(catalog, nodes, builder, query)
-        generator = BuyerPlanGenerator(builder, "client", mode=mode)
-        got = generator.generate(query, offers)
-        expected = reference_buyer_generate(generator, query, offers)
-        assert got.enumerated == expected.enumerated
-        assert len(got.candidates) == len(expected.candidates)
-        for g, e in zip(got.candidates, expected.candidates):
-            assert g.value == e.value
-            assert g.plan.explain() == e.plan.explain()
-        if expected.best is None:
-            assert got.best is None
-        else:
-            assert got.best.value == expected.best.value
-            assert got.best.plan.explain() == expected.best.plan.explain()
+    enumerated, texts = [], []
+    # Offer ids appear in plan text, so mint them from 1 whatever ran
+    # earlier in the process.
+    with offer_id_scope():
+        for query in (chain_query(3), chain_query(5), star_query(3)):
+            offers = gather_offers(catalog, nodes, builder, query)
+            generator = BuyerPlanGenerator(builder, "client", mode=mode)
+            got = generator.generate(query, offers)
+            assert got.best is (got.candidates[0] if got.candidates else None)
+            enumerated.append(got.enumerated)
+            for candidate in got.candidates:
+                texts.append(candidate.value.hex())
+                texts.append(candidate.plan.explain())
+    assert_golden(f"buyer[{mode}]", enumerated, texts)
