@@ -8,9 +8,11 @@ this to :mod:`http.server`; tests drive it directly.
 Endpoints
 ---------
 ``POST /sessions``            submit a query (202 accepted / 429 shed)
-``GET  /sessions``            list all sessions (status snapshots)
+``GET  /sessions``            list retained sessions (status snapshots)
 ``GET  /sessions/<id>``       one session's status
-``GET  /sessions/<id>/result``completed result (409 until terminal)
+``GET  /sessions/<id>/result``completed result (409 until terminal;
+                              ``?wait=<seconds>`` blocks until then, up
+                              to :data:`MAX_WAIT_S`)
 ``GET  /sessions/<id>/explain`` provenance audit (``?subquery=`` filter)
 ``GET  /sessions/<id>/critpath`` critical-path decomposition (409 until
                               terminal; requires a traced session)
@@ -21,29 +23,37 @@ Endpoints
 ``GET  /events``              recent-event ring page (``?since=&limit=``)
 ``GET  /healthz``             liveness + occupancy
 
-String payloads (``/metrics/prom``) pass through to the server verbatim
-as ``text/plain``; everything else is JSON.
+Every ``/sessions/<id>`` route answers ``410`` for an id the broker
+issued and has since evicted (see ``BrokerService`` retention) and
+``404`` for one it never issued.  String payloads (``/metrics/prom``)
+pass through to the server verbatim as ``text/plain``; everything else
+is JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.broker.service import BrokerError, BrokerService
 
-__all__ = ["Router"]
+__all__ = ["MAX_WAIT_S", "Router"]
 
 _Handler = Callable[..., "tuple[int, dict]"]
+
+#: Longest a ``?wait=`` request is held; a larger value is clamped.
+MAX_WAIT_S = 20.0
 
 
 class Router:
     """Maps (method, path) onto :class:`BrokerService` calls."""
 
-    def __init__(self, service: BrokerService):
+    def __init__(self, service: BrokerService, max_wait: float = MAX_WAIT_S):
         self.service = service
+        self.max_wait = max_wait
         self._routes: list[tuple[str, re.Pattern, _Handler]] = [
             ("POST", re.compile(r"^/sessions/?$"), self._submit),
             ("GET", re.compile(r"^/sessions/?$"), self._list),
@@ -77,7 +87,10 @@ class Router:
         split = urlsplit(target)
         path = split.path
         params = {
-            key: values[0] for key, values in parse_qs(split.query).items()
+            key: values[0]
+            for key, values in parse_qs(
+                split.query, keep_blank_values=True
+            ).items()
         }
         try:
             path_matched = False
@@ -101,7 +114,7 @@ class Router:
     def _submit(self, body: bytes, params: dict) -> tuple[int, dict]:
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise BrokerError(400, f"bad JSON body: {exc}") from exc
         if not isinstance(payload, dict):
             raise BrokerError(400, "body must be a JSON object")
@@ -123,11 +136,22 @@ class Router:
         return 200, self.service.get(sid).snapshot()
 
     def _result(self, body: bytes, params: dict, sid: str) -> tuple[int, dict]:
+        raw = params.get("wait")
+        if raw is not None:
+            try:
+                seconds = float(raw)
+            except ValueError:
+                seconds = math.nan
+            if not seconds >= 0:  # negative, NaN or not a number at all
+                raise BrokerError(
+                    400, f"wait must be a non-negative number, got {raw!r}"
+                )
+            self.service.get(sid).wait(timeout=min(seconds, self.max_wait))
         return 200, self.service.result_payload(sid)
 
     def _explain(self, body: bytes, params: dict, sid: str) -> tuple[int, dict]:
         return 200, self.service.explain_payload(
-            sid, subquery=params.get("subquery")
+            sid, subquery=params.get("subquery") or None
         )
 
     def _critpath(self, body: bytes, params: dict, sid: str) -> tuple[int, dict]:

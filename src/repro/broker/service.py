@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import itertools
+import re
 import threading
 import time
+from collections import deque
 from typing import Mapping
 
 from repro.bench.harness import BUYER, World, build_world
@@ -119,6 +120,15 @@ class OrderedBiddingProtocol(BiddingProtocol):
 #: scale without unbounded growth in a long-lived daemon.
 _MAX_LATENCIES = 4096
 
+#: Retention defaults: how many terminal sessions stay addressable, and
+#: for how long after they finish.  A traced session holds ~256 KB, so
+#: the cap is what bounds a long-lived daemon's memory.
+RETAIN_SESSIONS = 256
+RETAIN_SECONDS = 600.0
+
+#: The ids ``submit`` mints: ``s<n>``, n counting from 1.
+_ISSUED_ID = re.compile(r"s([1-9][0-9]*)")
+
 
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list (q in [0, 1])."""
@@ -140,9 +150,17 @@ class BrokerService:
         quiesce_timeout: float = 60.0,
         mqo: "MQOConfig | None" = None,
         live_obs: "LiveObsConfig | None" = None,
+        retain_sessions: int = RETAIN_SESSIONS,
+        retain_seconds: float = RETAIN_SECONDS,
     ):
         if clock not in ("sim", "async"):
             raise ValueError("clock must be 'sim' or 'async'")
+        if retain_sessions < 1:
+            raise ValueError("retain_sessions must be positive")
+        if retain_seconds <= 0:
+            raise ValueError("retain_seconds must be positive")
+        self.retain_sessions = retain_sessions
+        self.retain_seconds = retain_seconds
         self.world = world if world is not None else build_world(
             **dict(world_config or {})
         )
@@ -160,8 +178,14 @@ class BrokerService:
 
             self.live = LiveObsHub(self.world, live_obs)
         self._sessions: dict[str, BrokerSession] = {}
+        #: Retained terminal sessions, oldest finish first — the
+        #: eviction order.  Queued and running sessions are not in it,
+        #: so they cannot be evicted.
+        self._terminal: deque[BrokerSession] = deque()
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        #: Ids are ``s1..s<issued>``: one of those that is no longer in
+        #: ``_sessions`` was evicted (410), anything else never existed.
+        self._issued = 0
         self._latencies: list[float] = []
         #: Cross-session cache accounting, accumulated from terminal
         #: sessions (per-session stats stay on each result).
@@ -239,8 +263,9 @@ class BrokerService:
         """Queue one negotiation; a shed session comes back terminal."""
         if self._closed:
             raise BrokerError(503, "broker is shutting down")
-        session = BrokerSession(f"s{next(self._ids)}", spec)
         with self._lock:
+            self._issued += 1
+            session = BrokerSession(f"s{self._issued}", spec)
             self._sessions[session.session_id] = session
         self.metrics.inc("broker.sessions_submitted", tenant=spec.tenant)
         if self.live is not None:
@@ -331,7 +356,23 @@ class BrokerService:
                     del self._latencies[: -_MAX_LATENCIES]
         if self.live is not None:
             self.live.observe_terminal(session)
+        self._retire(session)
         self._update_gauges()
+
+    def _retire(self, session: BrokerSession) -> None:
+        """Enter *session* into the retention window and evict what has
+        fallen out of it: the oldest-finished sessions beyond the count
+        cap or past the age limit.  O(1) amortised, and it runs where a
+        session finishes, not where a client asks about one."""
+        horizon = session.finished_at - self.retain_seconds
+        with self._lock:
+            self._terminal.append(session)
+            while (
+                len(self._terminal) > self.retain_sessions
+                or self._terminal[0].finished_at < horizon
+            ):
+                evicted = self._terminal.popleft()
+                self._sessions.pop(evicted.session_id, None)
 
     def _update_gauges(self) -> None:
         occupancy = self.controller.occupancy()
@@ -340,11 +381,21 @@ class BrokerService:
 
     # -- queries -----------------------------------------------------------
     def get(self, session_id: str) -> BrokerSession:
+        """The retained session; 410 if evicted, 404 if never issued."""
         with self._lock:
             session = self._sessions.get(session_id)
-        if session is None:
-            raise BrokerError(404, f"unknown session {session_id!r}")
-        return session
+            issued = self._issued
+        if session is not None:
+            return session
+        match = _ISSUED_ID.fullmatch(session_id)
+        if match is not None and int(match[1]) <= issued:
+            raise BrokerError(
+                410,
+                f"session {session_id} is gone: the broker keeps the last "
+                f"{self.retain_sessions} finished sessions for up to "
+                f"{self.retain_seconds:g} s",
+            )
+        raise BrokerError(404, f"unknown session {session_id!r}")
 
     def sessions(self) -> list[BrokerSession]:
         with self._lock:
@@ -428,6 +479,11 @@ class BrokerService:
         with self._lock:
             latencies = sorted(self._latencies)
             cache = self._cache_totals.snapshot()
+        # Counted as sessions finish, so evicted sessions stay in them.
+        finished = {
+            state: self.metrics.total(f"broker.sessions_{state}")
+            for state in ("completed", "degraded", "failed")
+        }
         return {
             "clock": self.clock_mode,
             "uptime_s": round(time.monotonic() - self._started, 3),
@@ -435,14 +491,12 @@ class BrokerService:
             "queue_depth": occupancy["queued"],
             "admitted_total": occupancy["admitted_total"],
             "shed_total": occupancy["shed_total"],
-            "completed_total": len(latencies),
+            "completed_total": sum(finished.values()),
             "states": {
                 "active": occupancy["running"],
                 "queued": occupancy["queued"],
                 "shed": occupancy["shed_total"],
-                "completed": self.metrics.total("broker.sessions_completed"),
-                "degraded": self.metrics.total("broker.sessions_degraded"),
-                "failed": self.metrics.total("broker.sessions_failed"),
+                **finished,
             },
             "latency_ms": {
                 "p50": round(_percentile(latencies, 0.50) * 1e3, 3),
@@ -569,7 +623,8 @@ class BrokerService:
 
     # -- lifecycle ---------------------------------------------------------
     def drain(self, timeout: float = 60.0) -> bool:
-        """Block until every submitted session is terminal."""
+        """Block until every submitted session is terminal (an evicted
+        one already is)."""
         if self.mqo is not None:
             # A partial epoch may still be waiting on its window timer;
             # seal it now so its members actually reach the workers.

@@ -19,7 +19,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 import time
 from typing import Callable, Sequence
 
@@ -747,14 +749,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               end="")
     # Flush so wrappers piping stdout see the URL before first request.
     print(flush=True)
+    # SIGTERM takes the same graceful path as Ctrl-C (handlers can only
+    # be set from the main thread; an embedded caller keeps its own).
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     try:
         while True:
-            time.sleep(3600)
+            # Short naps, not one long one: the kernel may hand the
+            # signal to a worker thread, and the handler then runs only
+            # when this thread next wakes (seen: a SIGTERM during a
+            # session left a sleep(3600) undisturbed).
+            time.sleep(0.5)
     except KeyboardInterrupt:
         print("shutting down")
     finally:
         server.shutdown_broker()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _raise_keyboard_interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 def _live_trace_rows(payload: dict) -> list[dict]:

@@ -161,7 +161,6 @@ DEFAULT_GATES = (
     Gate("obs_overhead", "causal_overhead", "lt", 0.05),
     Gate("obs_overhead", "live_overhead", "lt", 0.10),
     Gate("faults", "ef1_cost_stable", "eq", 1),
-    Gate("serving", "all_sessions_completed", "eq", 1),
     Gate("mqo", "hit_rate_ratio", "ge", 5.0),
     Gate("mqo", "aggregate_cost_improved", "eq", 1),
 )
