@@ -291,40 +291,38 @@ class JoinGraph:
                     if self.connected(mask):
                         yield mask
             return
-        neighbor = self._neighbor_masks
-        n = self.n
-
-        def neighborhood(mask: int) -> int:
-            grown = 0
-            m = mask
-            while m:
-                low = m & -m
-                grown |= neighbor[low.bit_length() - 1]
-                m ^= low
-            return grown & ~mask
-
-        def recurse(subgraph: int, forbidden: int) -> Iterator[int]:
-            hood = neighborhood(subgraph) & ~forbidden
-            if not hood:
-                return
-            # Every non-empty subset of the neighborhood extends the csg.
-            extensions = []
-            sub = hood
-            while sub:
-                extensions.append(sub)
-                sub = (sub - 1) & hood
-            for ext in reversed(extensions):  # ascending, deterministic
-                yield subgraph | ext
-            blocked = forbidden | hood
-            for ext in reversed(extensions):
-                yield from recurse(subgraph | ext, blocked)
-
-        for i in range(n - 1, -1, -1):
+        for i in range(self.n - 1, -1, -1):
             start = 1 << i
             yield start
             # Forbid all smaller-indexed vertices: each csg is emitted
             # exactly once, from its minimum vertex.
-            yield from recurse(start, (1 << i) - 1)
+            yield from self._extend_csg(start, (1 << i) - 1)
+
+    def _extend_csg(self, subgraph: int, forbidden: int) -> Iterator[int]:
+        """The connected supersets of *subgraph* avoiding *forbidden*
+        (EnumerateCsgRec).  A method, not a self-recursive closure: the
+        closure would be a reference cycle outliving every call."""
+        neighbor = self._neighbor_masks
+        grown = 0
+        m = subgraph
+        while m:
+            low = m & -m
+            grown |= neighbor[low.bit_length() - 1]
+            m ^= low
+        hood = grown & ~subgraph & ~forbidden
+        if not hood:
+            return
+        # Every non-empty subset of the neighborhood extends the csg.
+        extensions = []
+        sub = hood
+        while sub:
+            extensions.append(sub)
+            sub = (sub - 1) & hood
+        for ext in reversed(extensions):  # ascending, deterministic
+            yield subgraph | ext
+        blocked = forbidden | hood
+        for ext in reversed(extensions):
+            yield from self._extend_csg(subgraph | ext, blocked)
 
     def level_masks(
         self, size: int, connected_only: bool = True

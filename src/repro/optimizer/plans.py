@@ -39,7 +39,45 @@ __all__ = [
     "Transfer",
     "Purchased",
     "PlanBuilder",
+    "fold_response_time",
 ]
+
+
+def fold_response_time(
+    site: str,
+    op_time: float,
+    child_sites: Sequence[str],
+    child_times: Sequence[float],
+) -> float:
+    """Response time of an operator at *site* taking *op_time*, whose
+    children run at *child_sites* and finish after *child_times*.
+
+    Children are grouped by site: work at one site serializes, distinct
+    sites proceed concurrently, and work at *site* itself serializes
+    with the operator.  :meth:`Plan.response_time` and the buyer plan
+    generator (which scores candidates before any node exists) both
+    fold through here; the two-child branch is the same arithmetic,
+    operation for operation, without the dict.
+    """
+    if len(child_sites) == 2:
+        a, b = child_sites
+        ta, tb = child_times
+        if a == b:
+            merged = 0.0 + ta + tb
+            local, remote = (merged, 0.0) if a == site else (0.0, merged)
+        elif a == site:
+            local, remote = 0.0 + ta, 0.0 + tb
+        elif b == site:
+            local, remote = 0.0 + tb, 0.0 + ta
+        else:
+            local, remote = 0.0, max(0.0 + ta, 0.0 + tb)
+        return op_time + max(local, remote)
+    per_site: dict[str, float] = {}
+    for child_site, time in zip(child_sites, child_times):
+        per_site[child_site] = per_site.get(child_site, 0.0) + time
+    local = per_site.pop(site, 0.0)
+    remote = max(per_site.values(), default=0.0)
+    return op_time + max(local, remote)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +113,13 @@ class Plan:
         cached = self._response_time
         if cached is not None:
             return cached
-        per_site: dict[str, float] = {}
-        for child in self.children:
-            per_site[child.site] = per_site.get(child.site, 0.0) + (
-                child.response_time()
-            )
-        local = per_site.pop(self.site, 0.0)
-        remote = max(per_site.values(), default=0.0)
-        value = self.op_time + max(local, remote)
+        children = self.children
+        value = fold_response_time(
+            self.site,
+            self.op_time,
+            [child.site for child in children],
+            [child.response_time() for child in children],
+        )
         object.__setattr__(self, "_response_time", value)
         return value
 
@@ -369,6 +406,27 @@ class PlanBuilder:
         site = site or left.site
         left = self.collocate(left, site)
         right = self.collocate(right, site)
+        selectivity, equi = self.join_selectivity(conjuncts, alias_to_relation)
+        rows, op_time = self.join_cost(
+            left.rows, right.rows, selectivity, equi, self.caps(site)
+        )
+        node = HashJoin if equi else NestedLoopJoin
+        return node(
+            rows=rows,
+            site=site,
+            op_time=op_time,
+            left=left,
+            right=right,
+            condition=conjoin(conjuncts),
+        )
+
+    def join_selectivity(
+        self, conjuncts: Sequence[Expr], alias_to_relation: Mapping[str, str]
+    ) -> tuple[float, bool]:
+        """``(selectivity, equi)`` of joining on *conjuncts*: the product
+        of their selectivities, and whether one is an equi-join (a hash
+        join applies).  Depends on the conjuncts alone, so a caller
+        joining many pairs over one split computes it once."""
         selectivity = 1.0
         equi = False
         for conjunct in conjuncts:
@@ -382,29 +440,24 @@ class PlanBuilder:
                 selectivity *= self.estimator.selectivity(
                     conjunct, alias_to_relation
                 )
-        rows = left.rows * right.rows * selectivity
-        caps = self.caps(site)
-        condition = conjoin(conjuncts)
+        return selectivity, equi
+
+    def join_cost(
+        self,
+        left_rows: float,
+        right_rows: float,
+        selectivity: float,
+        equi: bool,
+        caps: NodeCapabilities,
+    ) -> tuple[float, float]:
+        """``(rows, op_time)`` of a join node on a site with *caps*."""
+        rows = left_rows * right_rows * selectivity
         if equi:
-            op_time = self.cost_model.hash_join(
-                left.rows, right.rows, rows, caps
+            return rows, self.cost_model.hash_join(
+                left_rows, right_rows, rows, caps
             )
-            return HashJoin(
-                rows=rows,
-                site=site,
-                op_time=op_time,
-                left=left,
-                right=right,
-                condition=condition,
-            )
-        op_time = self.cost_model.nested_loop_join(left.rows, right.rows, caps)
-        return NestedLoopJoin(
-            rows=rows,
-            site=site,
-            op_time=op_time,
-            left=left,
-            right=right,
-            condition=condition,
+        return rows, self.cost_model.nested_loop_join(
+            left_rows, right_rows, caps
         )
 
     def union(
@@ -415,17 +468,23 @@ class PlanBuilder:
             return self.collocate(inputs[0], site)
         placed = tuple(self.collocate(p, site) for p in inputs)
         rows = sum(p.rows for p in placed)
-        caps = self.caps(site)
-        op_time = self.cost_model.cpu_pass(rows, caps)
-        if distinct:
-            op_time += self.cost_model.sort(rows, caps)
         return Union(
             rows=rows,
             site=site,
-            op_time=op_time,
+            op_time=self.union_cost(rows, distinct, self.caps(site)),
             inputs=placed,
             distinct=distinct,
         )
+
+    def union_cost(
+        self, rows: float, distinct: bool, caps: NodeCapabilities
+    ) -> float:
+        """``op_time`` of a union node producing *rows* on a site with
+        *caps* (a distinct union also sorts)."""
+        op_time = self.cost_model.cpu_pass(rows, caps)
+        if distinct:
+            op_time += self.cost_model.sort(rows, caps)
+        return op_time
 
     def aggregate(
         self,

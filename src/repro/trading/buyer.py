@@ -6,8 +6,9 @@ restricted to a set of horizontal fragments) into a plan computing the
 original query.  Full generality is NP-complete; like the paper we search
 the *fragment-aligned* space with dynamic programming:
 
-* an **entry** is a plan producing the rows of an alias subset ``S``
-  restricted to a fragment *rectangle* (one fragment set per alias);
+* an **entry** stands for a plan producing the rows of an alias subset
+  ``S`` restricted to a fragment *rectangle* (one fragment set per
+  alias);
 * two entries over disjoint subsets **join** (the original query's
   connecting conjuncts apply);
 * two entries over the same subset **union** when their rectangles agree
@@ -21,8 +22,14 @@ the *fragment-aligned* space with dynamic programming:
 
 Inside one ``generate`` call a rectangle is a single ``int`` (see
 :class:`_Rectangles`), so "may these union" is an XOR and a merge is an
-``|``; each entry carries the money and freshness of its purchased
-leaves and is scored under the buyer's valuation once, when it is built.
+``|``.  An entry is numbers plus operands: the rows, site and response
+time of its plan, the money and freshness of its purchased leaves, its
+score under the buyer's valuation (computed once, with the entry), and
+the two entries it joins or unions.  The numbers come from the plan
+builder's own arithmetic (:meth:`PlanBuilder.join_cost`,
+:meth:`PlanBuilder.union_cost`, :func:`fold_response_time`), so they are
+bit-equal to the node's; the node itself is built on demand — operands
+first — only for the complete entries handed out as candidate plans.
 
 The buyer-side DP can also run in IDP-M(2, m) mode ("after evaluating all
 2-way join sub-plans, it keeps the best five of them"), the paper's
@@ -40,11 +47,16 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import count
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optimizer.joingraph import JoinGraph
-from repro.optimizer.plans import Plan, PlanBuilder, Purchased
+from repro.optimizer.plans import (
+    Plan,
+    PlanBuilder,
+    Purchased,
+    fold_response_time,
+)
 from repro.sql.expr import Expr, TRUE, conjoin, restriction_overlaps
 from repro.sql.query import Aggregate, SPJQuery
 from repro.sql.schema import PartitionScheme
@@ -115,40 +127,72 @@ class _Rectangles:
             rect |= self._fields[i]
         return rect
 
-    def union_pivot(self, a: int, b: int) -> int:
-        """The lowest fragment bit on which *a* and *b* differ if the two
-        (over the same aliases) may union — they agree on every alias but
-        one and are disjoint there — else 0.  Join distributes over union
-        only under this condition; the union's rectangle is ``a | b``,
-        and the operand holding the pivot has the smaller minimum
-        fragment on the differing alias."""
-        differ = a ^ b
-        if not differ:
-            return 0  # identical rectangles: union would double-count
-        pivot = differ & -differ
-        field = self._field_at[pivot.bit_length() - 1]
-        if differ & ~field or a & b & field:
-            return 0  # a second alias differs, or fragments overlap
-        return pivot
+    def partners(
+        self, rect: int, entries: Iterable[_Entry], leading: bool = False
+    ) -> Iterator[_Entry]:
+        """The entries of *entries*, in order, that may union with an
+        entry of rectangle *rect* over the same aliases: the two agree on
+        every alias but one and are disjoint there.  Join distributes
+        over union only under this condition; the union's rectangle is
+        the ``|`` of the two.  With *leading*, only the partners *rect*
+        leads — it holds the lowest fragment bit on which the two differ,
+        i.e. the smaller minimum fragment on the differing alias, which
+        makes it the canonical left operand."""
+        field_at = self._field_at
+        for entry in entries:
+            other = entry.rect
+            differ = rect ^ other
+            if not differ:
+                continue  # identical rectangles: union would double-count
+            pivot = differ & -differ
+            if leading and not rect & pivot:
+                continue
+            field = field_at[pivot.bit_length() - 1]
+            if differ & ~field or rect & other & field:
+                continue  # a second alias differs, or fragments overlap
+            yield entry
+
+
+class _Split:
+    """What every join over one ``(left, right)`` split shares: the
+    connecting conjuncts, their selectivity, and whether one of them is
+    an equi-join.  Built once per split; each join entry refers to it."""
+
+    __slots__ = ("conjuncts", "selectivity", "equi")
+
+    def __init__(
+        self, conjuncts: Sequence[Expr], selectivity: float, equi: bool
+    ):
+        self.conjuncts = conjuncts
+        self.selectivity = selectivity
+        self.equi = equi
 
 
 class _Entry:
-    """A plan for one alias subset over one fragment rectangle.
+    """A plan for one alias subset over one fragment rectangle, as numbers.
 
-    ``monies`` are its purchased leaves' charges in leaf order and
-    ``money`` their left-to-right sum (float addition is not
-    associative, and valuations may weigh money); ``score`` is the
-    buyer's valuation of the plan, computed once.
+    ``rows``, ``site`` and ``time`` (response time) are those of the
+    plan node the entry stands for.  ``a`` and ``b`` are the operands it
+    joins (``split`` is the join's :class:`_Split`) or unions (``split``
+    is ``None``); a purchased leaf has neither.  ``plan`` is the node:
+    a leaf's from the start, any other's once
+    :meth:`BuyerPlanGenerator._plan` builds it.  ``monies`` are the
+    purchased leaves' charges in leaf order and ``money`` their
+    left-to-right sum (float addition is not associative, and
+    valuations may weigh money); ``score`` is the buyer's valuation of
+    the plan, computed once.
     """
 
     __slots__ = (
-        "plan", "rect", "form", "key", "complete",
-        "monies", "money", "freshness", "score",
+        "rows", "site", "time", "rect", "form", "key", "complete",
+        "monies", "money", "freshness", "score", "a", "b", "split", "plan",
     )
 
     def __init__(
         self,
-        plan: Plan,
+        rows: float,
+        site: str,
+        time: float,
         rect: int,
         form: str,  # RAW or FINAL
         complete: bool,  # covers every required fragment of its aliases
@@ -156,8 +200,14 @@ class _Entry:
         money: float,
         freshness: float,
         score: float,
+        a: _Entry | None = None,
+        b: _Entry | None = None,
+        split: _Split | None = None,
+        plan: Plan | None = None,
     ):
-        self.plan = plan
+        self.rows = rows
+        self.site = site
+        self.time = time
         self.rect = rect
         self.form = form
         self.key = (rect, form)
@@ -166,6 +216,10 @@ class _Entry:
         self.money = money
         self.freshness = freshness
         self.score = score
+        self.a = a
+        self.b = b
+        self.split = split
+        self.plan = plan
 
 
 @dataclass(frozen=True)
@@ -332,15 +386,27 @@ class BuyerPlanGenerator:
             # The one-leaf case of the folds `_combined` continues.
             money = 0.0 + plan.money
             freshness = min(1.0, plan.freshness)
+            time = plan.response_time()
+            score = self.valuation(
+                AnswerProperties(
+                    total_time=time,
+                    rows=plan.rows,
+                    money=money,
+                    freshness=freshness,
+                )
+            )
             entry = _Entry(
-                plan,
+                plan.rows,
+                plan.site,
+                time,
                 rect,
                 form,
                 rect == rects.required(subset),
                 (plan.money,),
                 money,
                 freshness,
-                self.valuation(_properties(plan, money, freshness)),
+                score,
+                plan=plan,
             )
             self._add_entry(subsets, subset, entry)
             enumerated += 1
@@ -368,7 +434,7 @@ class BuyerPlanGenerator:
         for entry in subsets.get(graph.full_mask, {}).values():
             if not entry.complete:
                 continue
-            plan = entry.plan
+            plan = self._plan(entry, query, alias_to_relation)
             if entry.form == RAW:
                 plan = self._finish(query, plan, alias_to_relation)
             elif query.order_by:
@@ -376,7 +442,12 @@ class BuyerPlanGenerator:
                     self.builder.collocate(plan, self.buyer_site),
                     query.order_by,
                 )
-            properties = _properties(plan, entry.money, entry.freshness)
+            properties = AnswerProperties(
+                total_time=plan.response_time(),
+                rows=plan.rows,
+                money=entry.money,
+                freshness=entry.freshness,
+            )
             candidates.append(
                 CandidatePlan(
                     plan=plan,
@@ -406,6 +477,9 @@ class BuyerPlanGenerator:
         """
         enumerated = 0
         allow_cross = not (query_connected or graph.connected(mask))
+        builder = self.builder
+        site = self.buyer_site
+        caps = builder.caps(site)
         for left, right in graph.splits(mask):
             left_entries = subsets.get(left)
             right_entries = subsets.get(right)
@@ -414,24 +488,29 @@ class BuyerPlanGenerator:
             connecting = graph.connecting(left, right)
             if not connecting and not allow_cross:
                 continue
+            selectivity, equi = builder.join_selectivity(
+                connecting, alias_to_relation
+            )
+            split = _Split(connecting, selectivity, equi)
             right_participants = self._join_participants(right_entries)
             for le in self._join_participants(left_entries):
                 for re_ in right_participants:
-                    joined = self.builder.join(
-                        le.plan,
-                        re_.plan,
-                        connecting,
-                        alias_to_relation,
-                        site=self.buyer_site,
+                    rows, op_time = builder.join_cost(
+                        le.rows, re_.rows, selectivity, equi, caps
+                    )
+                    time = fold_response_time(
+                        site, op_time, (le.site, re_.site), (le.time, re_.time)
                     )
                     enumerated += 1
                     entry = self._combined(
-                        joined,
+                        rows,
+                        time,
                         le.rect | re_.rect,
                         RAW,
                         le.complete and re_.complete,
                         le,
                         re_,
+                        split,
                     )
                     self._add_entry(subsets, mask, entry)
         enumerated += self._union_closure(subsets, mask, query, rects)
@@ -441,15 +520,19 @@ class BuyerPlanGenerator:
     # ------------------------------------------------------------------
     def _combined(
         self,
-        plan: Plan,
+        rows: float,
+        time: float,
         rect: int,
         form: str,
         complete: bool,
         a: _Entry,
         b: _Entry,
+        split: _Split | None,
     ) -> _Entry:
-        """The entry for *plan*, a join or union whose purchased leaves
-        are *a*'s followed by *b*'s, scored under the buyer's valuation.
+        """The entry joining (over *split*) or unioning (*split* None)
+        *a* and *b* into *rows* at the buyer site, ready after *time*;
+        its purchased leaves are *a*'s followed by *b*'s, and it is
+        scored under the buyer's valuation.
 
         Entries with identical coverage may come from different sellers
         (replicas) with different prices and freshness; ranking them
@@ -460,16 +543,57 @@ class BuyerPlanGenerator:
         for amount in b.monies:  # continue the sum in leaf order
             money += amount
         freshness = min(a.freshness, b.freshness)
+        score = self.valuation(
+            AnswerProperties(
+                total_time=time, rows=rows, money=money, freshness=freshness
+            )
+        )
         return _Entry(
-            plan,
+            rows,
+            self.buyer_site,
+            time,
             rect,
             form,
             complete,
             a.monies + b.monies,
             money,
             freshness,
-            self.valuation(_properties(plan, money, freshness)),
+            score,
+            a,
+            b,
+            split,
         )
+
+    def _plan(
+        self,
+        entry: _Entry,
+        query: SPJQuery,
+        alias_to_relation: Mapping[str, str],
+    ) -> Plan:
+        """*entry*'s plan node, built on first request — operands first —
+        by the builder calls whose arithmetic produced its numbers.  It
+        is kept on the entry, so an operand shared by several candidates
+        is one node."""
+        plan = entry.plan
+        if plan is None:
+            left = self._plan(entry.a, query, alias_to_relation)
+            right = self._plan(entry.b, query, alias_to_relation)
+            if entry.split is None:
+                plan = self.builder.union(
+                    [left, right],
+                    self.buyer_site,
+                    distinct=entry.form == FINAL and query.distinct,
+                )
+            else:
+                plan = self.builder.join(
+                    left,
+                    right,
+                    entry.split.conjuncts,
+                    alias_to_relation,
+                    site=self.buyer_site,
+                )
+            entry.plan = plan
+        return plan
 
     def _finish(
         self,
@@ -548,12 +672,11 @@ class BuyerPlanGenerator:
             if bucket.get(a.key) is not a:
                 continue  # evicted or superseded
             pops += 1
-            rect, form = a.rect, a.form
-            for b in list(bucket.values()):
-                if b is a or b.form != form:
+            form = a.form
+            scan = list(bucket.values())  # the bucket grows as we go
+            for b in rects.partners(a.rect, scan, leading=True):
+                if b.form != form:
                     continue
-                if not rect & rects.union_pivot(rect, b.rect):
-                    continue  # not unionable, or not canonically oriented
                 entry = self._union_entry(a, b, query, full)
                 enumerated += 1
                 if self._add_entry(subsets, subset, entry):
@@ -567,14 +690,21 @@ class BuyerPlanGenerator:
     def _union_entry(
         self, a: _Entry, b: _Entry, query: SPJQuery, full: int
     ) -> _Entry:
-        """The union of unionable *a* and *b*; *full* is the complete
-        rectangle of their alias subset."""
-        distinct = a.form == FINAL and query.distinct
-        plan = self.builder.union(
-            [a.plan, b.plan], self.buyer_site, distinct=distinct
+        """The union of unionable *a* and *b* at the buyer site; *full*
+        is the complete rectangle of their alias subset."""
+        rows = a.rows + b.rows
+        op_time = self.builder.union_cost(
+            rows,
+            a.form == FINAL and query.distinct,
+            self.builder.caps(self.buyer_site),
+        )
+        time = fold_response_time(
+            self.buyer_site, op_time, (a.site, b.site), (a.time, b.time)
         )
         rect = a.rect | b.rect
-        return self._combined(plan, rect, a.form, rect == full, a, b)
+        return self._combined(
+            rows, time, rect, a.form, rect == full, a, b, None
+        )
 
     def _greedy_complete(
         self,
@@ -604,18 +734,12 @@ class BuyerPlanGenerator:
                 continue
             for seed in pieces[:4]:
                 current = seed
-                stuck = False
-                while not current.complete and not stuck:
-                    stuck = True
-                    for piece in pieces:
-                        if not rects.union_pivot(current.rect, piece.rect):
-                            continue
-                        current = self._union_entry(
-                            current, piece, query, full
-                        )
-                        enumerated += 1
-                        stuck = False
-                        break
+                while not current.complete:
+                    piece = next(rects.partners(current.rect, pieces), None)
+                    if piece is None:
+                        break  # stuck
+                    current = self._union_entry(current, piece, query, full)
+                    enumerated += 1
                 if current.complete:
                     self._add_entry(subsets, subset, current)
                     break
@@ -676,19 +800,6 @@ class BuyerPlanGenerator:
             del subsets[subset][key]
 
 
-def _properties(
-    plan: Plan, money: float, freshness: float
-) -> AnswerProperties:
-    """A plan's answer properties: response time, plus the payments
-    (summed) and freshness (the weakest) of its purchased inputs."""
-    return AnswerProperties(
-        total_time=plan.response_time(),
-        rows=plan.rows,
-        money=money,
-        freshness=freshness,
-    )
-
-
 class BuyerPredicatesAnalyser:
     """Derives the next round's query set Q (step B5/B6 of Figure 2)."""
 
@@ -703,11 +814,19 @@ class BuyerPredicatesAnalyser:
     ) -> list[SPJQuery]:
         """New tradable queries suggested by the current market state."""
         derived: dict[str, SPJQuery] = {}
+        asked: set[tuple[str, frozenset[int]]] = set()
 
         def add(candidate: SPJQuery | None) -> None:
             if candidate is None or candidate.is_unsatisfiable:
                 return
             derived.setdefault(candidate.key(), candidate)
+
+        def ask(alias: str, fragments: frozenset[int]) -> None:
+            # Replicas make most requests repeats; a repeat would build
+            # the same restricted query only for ``add`` to drop it.
+            if (alias, fragments) not in asked:
+                asked.add((alias, fragments))
+                add(self._fragment_query(query, alias, fragments))
 
         # 1. Complements: for each partially covered alias, ask for the
         #    missing fragments so other sellers can bid on them.
@@ -718,7 +837,7 @@ class BuyerPredicatesAnalyser:
                 missing = required[alias] - fids
                 if not missing or missing == required[alias]:
                     continue
-                add(self._fragment_query(query, alias, missing))
+                ask(alias, missing)
 
         # 2. Per-relation parts: single-relation sub-queries of the
         #    original (lets fragment holders bid even when they returned
@@ -745,9 +864,9 @@ class BuyerPredicatesAnalyser:
                         if not overlap or not (a_only or b_only):
                             continue
                         if a_only:
-                            add(self._fragment_query(query, alias, a_only))
+                            ask(alias, a_only)
                         if b_only:
-                            add(self._fragment_query(query, alias, b_only))
+                            ask(alias, b_only)
 
         # 4. Sort variants: trade the unsorted answer separately.
         if query.order_by:

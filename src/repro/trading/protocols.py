@@ -392,6 +392,12 @@ class BiddingProtocol(NegotiationProtocol):
         issue(0)
         network.run()
         state["closed"] = True
+        # ``issue`` and ``on_deadline`` refer to each other, and the
+        # deadline timer (kept in ``state``) to ``on_deadline``: cut both
+        # links so the round, and everything it reaches, is freed by
+        # reference counting rather than by a cycle collection.
+        state["timer"] = None
+        del issue
         return SolicitResult(
             offers=collected,
             started_at=started,

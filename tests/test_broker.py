@@ -802,6 +802,27 @@ class TestRetention:
             service.close()
         assert growth_kb < 10 * 1024
 
+    def test_session_leaves_no_cyclic_garbage(self, arrivals):
+        """A traced session's rounds, network and tracer are freed by
+        reference counting: retention, not a pending gen-2 collection,
+        is what decides how long a session's memory lives."""
+        service = make_service()
+        sql = arrivals[0].query.sql()
+        try:
+            # first-call set-up (imports, memo tables) happens here
+            assert submit_sql(service, sql).wait(timeout=60.0)
+            gc.collect()
+            gc.disable()
+            try:
+                session = submit_sql(service, sql)
+                assert session.wait(timeout=60.0)
+                assert service.result_payload(session.session_id)["found"]
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        finally:
+            service.close()
+
 
 class TestWaitForResult:
     def test_wait_returns_when_the_session_finishes(self, arrivals):

@@ -1,17 +1,31 @@
 """Unit tests for the buyer plan generator and predicates analyser."""
 
+from dataclasses import replace
+from functools import lru_cache
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import BUYER, build_world
 from repro.net import Network
+from repro.optimizer import PlanBuilder
+from repro.optimizer.plans import (
+    HashJoin,
+    NestedLoopJoin,
+    Purchased,
+    Union,
+)
 from repro.sql import RelationRef, SPJQuery, column, eq, in_list
+from repro.sql.expr import conjoin
 from repro.trading import (
     AnswerProperties,
     BuyerPlanGenerator,
     Offer,
     OfferCache,
     QueryTrader,
+    SellerAgent,
 )
 from repro.trading.buyer import BuyerPredicatesAnalyser, _Rectangles
 from repro.trading.commodity import offer_id_scope
@@ -55,39 +69,49 @@ def rectangles(**required):
     )
 
 
+def partners(rects, rect, others, leading=False):
+    """The rectangles among *others* that the partner scan yields for
+    *rect*, in order (a bucket entry is, to the scan, its rectangle)."""
+    pieces = [SimpleNamespace(rect=other) for other in others]
+    return [piece.rect for piece in rects.partners(rect, pieces, leading)]
+
+
 class TestUnionCoverage:
     def test_merges_single_differing_alias(self):
         rects = rectangles(a={0, 1}, b={1})
         first = rects.encode({"a": {0}, "b": {1}})
         second = rects.encode({"a": {1}, "b": {1}})
-        pivot = rects.union_pivot(first, second)
-        assert pivot == rects.encode({"a": {0}})  # differs on a, from 0
-        assert first & pivot and not second & pivot  # first leads
+        assert partners(rects, first, [second]) == [second]
+        assert partners(rects, second, [first]) == [first]
+        # differs on a, where first has the smaller fragment: first leads
+        assert partners(rects, first, [second], leading=True) == [second]
+        assert partners(rects, second, [first], leading=True) == []
         assert first | second == rects.encode({"a": {0, 1}, "b": {1}})
 
     def test_rejects_two_differences(self):
         rects = rectangles(a={0, 1}, b={0, 1})
-        assert not rects.union_pivot(
+        assert not partners(
+            rects,
             rects.encode({"a": {0}, "b": {0}}),
-            rects.encode({"a": {1}, "b": {1}}),
+            [rects.encode({"a": {1}, "b": {1}})],
         )
 
     def test_rejects_overlap(self):
         rects = rectangles(a={0, 1, 2})
-        assert not rects.union_pivot(
-            rects.encode({"a": {0, 1}}), rects.encode({"a": {1, 2}})
+        assert not partners(
+            rects, rects.encode({"a": {0, 1}}), [rects.encode({"a": {1, 2}})]
         )
 
     def test_rejects_identical(self):
         rects = rectangles(a={0})
-        assert not rects.union_pivot(
-            rects.encode({"a": {0}}), rects.encode({"a": {0}})
+        assert not partners(
+            rects, rects.encode({"a": {0}}), [rects.encode({"a": {0}})]
         )
 
     def test_rejects_different_aliases(self):
         rects = rectangles(a={0}, b={0})
-        assert not rects.union_pivot(
-            rects.encode({"a": {0}}), rects.encode({"b": {0}})
+        assert not partners(
+            rects, rects.encode({"a": {0}}), [rects.encode({"b": {0}})]
         )
 
 
@@ -157,15 +181,22 @@ class TestRectangles:
         aliases = sorted(required)
         rects = _Rectangles(aliases, required)
         ra, rb = rects.encode(a), rects.encode(b)
-        pivot = rects.union_pivot(ra, rb)
         expected = union_oracle(a, b)
-        assert bool(pivot) == (expected is not None)
+        # in scan order, skipping the rectangle itself
+        found = partners(rects, ra, [rb, ra, rb])
+        assert found == ([] if expected is None else [rb, rb])
         if expected is not None:
             differing, merged = expected
             assert ra | rb == rects.encode(merged)
-            # orientation: the operand holding the pivot has the smaller
-            # minimum fragment on the differing alias
-            assert bool(ra & pivot) == (min(a[differing]) < min(b[differing]))
+            # orientation: the operand with the smaller minimum fragment
+            # on the differing alias leads
+            a_leads = min(a[differing]) < min(b[differing])
+            assert partners(rects, ra, [rb], leading=True) == (
+                [rb] if a_leads else []
+            )
+            assert partners(rects, rb, [ra], leading=True) == (
+                [] if a_leads else [ra]
+            )
         subset = sum(1 << aliases.index(alias) for alias in a)
         for coverage, rect in ((a, ra), (b, rb)):
             complete = all(coverage[x] >= required[x] for x in coverage)
@@ -429,6 +460,216 @@ class TestLattice:
         )
 
 
+class _CheckingGenerator(BuyerPlanGenerator):
+    """After each ``generate``, builds the plan node of every entry that
+    entered a bucket and checks the entry's numbers against it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nodes = []
+
+    def generate(self, query, offers, **kwargs):
+        self.admitted = []
+        result = super().generate(query, offers, **kwargs)
+        alias_to_relation = {ref.alias: ref.name for ref in query.relations}
+        for entry in self.admitted:
+            plan = self._plan(entry, query, alias_to_relation)
+            score = self.valuation(
+                AnswerProperties(
+                    total_time=plan.response_time(),
+                    rows=plan.rows,
+                    money=entry.money,
+                    freshness=entry.freshness,
+                )
+            )
+            got = (
+                entry.site,
+                entry.rows.hex(),
+                entry.time.hex(),
+                entry.score.hex(),
+            )
+            built = (
+                plan.site,
+                plan.rows.hex(),
+                plan.response_time().hex(),
+                score.hex(),
+            )
+            assert got == built, plan.explain()
+            self.nodes.append(plan)
+        return result
+
+    def _add_entry(self, subsets, subset, entry):
+        admitted = super()._add_entry(subsets, subset, entry)
+        if admitted:
+            self.admitted.append(entry)
+        return admitted
+
+
+@lru_cache(maxsize=None)
+def small_world(seed, fragments, replicas):
+    return make_federation(
+        nodes=6, n_relations=5, fragments=fragments, replicas=replicas,
+        seed=seed,
+    )
+
+
+def cross_query(n_relations, **kwargs):
+    """A chain whose first join conjunct is dropped: the query graph is
+    disconnected, so the generator must cross-product."""
+    query = chain_query(n_relations, **kwargs)
+    return replace(
+        query, predicate=conjoin(query.predicate.conjuncts()[1:])
+    )
+
+
+class TestEntriesAreNumbers:
+    """An entry's rows, response time and score are computed before (and
+    mostly instead of) its plan node; built, the node must agree bit for
+    bit, and only candidates' nodes are built."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        world_key=st.tuples(
+            st.sampled_from([3, 7, 11]),  # seed
+            st.sampled_from([2, 4]),  # fragments
+            st.sampled_from([1, 2]),  # replicas
+        ),
+        shape=st.sampled_from(["chain", "star", "cross"]),
+        relations=st.integers(2, 4),
+        selection=st.booleans(),
+        aggregate=st.booleans(),
+        ordered=st.booleans(),
+        mode=st.sampled_from(["dp", "idp"]),
+    )
+    def test_admitted_entries_equal_their_nodes(
+        self, world_key, shape, relations, selection, aggregate, ordered,
+        mode,
+    ):
+        catalog, nodes, _est, model, builder = small_world(*world_key)
+        kwargs = dict(
+            selection_cat=3 if selection else None, aggregate=aggregate
+        )
+        if shape == "star":
+            query = star_query(relations - 1, **kwargs)
+        else:
+            make = chain_query if shape == "chain" else cross_query
+            query = make(relations, **kwargs)
+        if ordered:
+            query = query.with_order(
+                [column("r0", "part" if aggregate else "id")]
+            )
+        generator = _CheckingGenerator(builder, "client", mode=mode)
+        sellers = {
+            node: SellerAgent(catalog.local(node), builder)
+            for node in nodes
+            if node != "client"
+        }
+        trader = QueryTrader("client", sellers, Network(model), generator)
+        with offer_id_scope():
+            trader.optimize(query)
+        assert generator.nodes
+        if shape == "cross":
+            assert any(
+                isinstance(node, NestedLoopJoin) for node in generator.nodes
+            )
+
+    def test_final_distinct_unions_and_same_seller_purchases(self, world):
+        catalog, builder = world
+        query = replace(chain_query(2, aggregate=True), distinct=True)
+        r1_full = catalog.scheme("R1").fragment_ids
+        # exact partial aggregates, two of them from one seller
+        parts = [
+            offer(query, {"r0": {f}, "r1": r1_full}, time=0.5 + f,
+                  seller="s0" if f < 2 else f"s{f}", exact=True)
+            for f in sorted(catalog.scheme("R0").fragment_ids)
+        ]
+        # raw parts: both relations from one seller
+        raws = [
+            offer(query.subquery_on(["r0"]),
+                  {"r0": catalog.scheme("R0").fragment_ids}, time=0.2,
+                  seller="s9"),
+            offer(query.subquery_on(["r1"]), {"r1": r1_full}, time=0.3,
+                  seller="s9"),
+        ]
+        generator = _CheckingGenerator(builder, "client")
+        assert generator.generate(query, parts + raws).found
+        assert any(
+            isinstance(node, Union) and node.distinct
+            for node in generator.nodes
+        )
+        assert any(
+            isinstance(node, HashJoin)
+            and all(isinstance(c, Purchased) for c in node.children)
+            and node.left.seller == node.right.seller
+            for node in generator.nodes
+        )
+
+    def test_nodes_built_only_for_candidates(self):
+        """Scoring builds no plan node: one ``generate`` on the
+        trade_deep chain-9 input calls ``PlanBuilder.join``/``union`` at
+        most once per join or union node of the candidates it returns
+        (≈ 27,000 times per round when every scored entry was a node)."""
+        world = build_world(nodes=32, n_relations=9, fragments=4, replicas=2)
+        builder = _CountingBuilder(world.builder)
+        rounds = []
+
+        class Generator(BuyerPlanGenerator):
+            def generate(self, query, offers, **kwargs):
+                builder.calls = 0
+                result = super().generate(query, offers, **kwargs)
+                nodes = join_and_union_nodes(
+                    [c.plan for c in result.candidates]
+                )
+                rounds.append((builder.calls, nodes))
+                return result
+
+        trader = QueryTrader(
+            BUYER,
+            world.seller_agents(offer_cache=OfferCache()),
+            Network(world.model),
+            Generator(builder, BUYER),
+        )
+        with offer_id_scope():
+            assert trader.optimize(chain_query(9, selection_cat=3)).found
+        assert rounds
+        for calls, nodes in rounds:
+            assert 0 < calls <= nodes
+
+
+class _CountingBuilder(PlanBuilder):
+    """*builder*'s costing, counting the join and union nodes built."""
+
+    def __init__(self, builder):
+        super().__init__(
+            builder.estimator, builder.cost_model, builder.capabilities,
+            builder.schemes, builder.default_caps,
+        )
+        self.calls = 0
+
+    def join(self, *args, **kwargs):
+        self.calls += 1
+        return super().join(*args, **kwargs)
+
+    def union(self, *args, **kwargs):
+        self.calls += 1
+        return super().union(*args, **kwargs)
+
+
+def join_and_union_nodes(plans):
+    """Distinct join and union nodes reachable from *plans*."""
+    seen = set()
+    found = 0
+    stack = list(plans)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        found += isinstance(node, (HashJoin, NestedLoopJoin, Union))
+        stack.extend(node.children)
+    return found
+
+
 class TestPredicatesAnalyser:
     def test_complement_queries(self, world):
         catalog, builder = world
@@ -485,3 +726,128 @@ class TestPredicatesAnalyser:
         derived = analyser.derive(query, [o1, o2], required)
         keys = [q.key() for q in derived]
         assert len(keys) == len(set(keys))
+
+    def test_replicas_build_each_request_once(self, world):
+        catalog, builder = world
+        query = chain_query(2)
+        required = BuyerPlanGenerator(builder, "client").required_coverage(
+            query
+        )
+        analyser = _CountingAnalyser(catalog.schemes)
+        replicas = [
+            offer(query.subquery_on(["r0"]), {"r0": {0, 1}}, seller=seller)
+            for seller in ("a", "b", "c")
+        ]
+        derived = analyser.derive(query, replicas, required)
+        # three sellers, one missing-fragments request, one query built
+        assert analyser.built == [("r0", frozenset({2, 3}))]
+        assert len(derived) == 3  # the complement and two relation parts
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_derive_agrees_with_set_oracle(self, world, data):
+        catalog, builder = world
+        query = data.draw(
+            st.sampled_from(
+                [
+                    chain_query(2),
+                    chain_query(3, selection_cat=1),
+                    chain_query(3).with_order([column("r0", "id")]),
+                    chain_query(2).restrict(eq(column("r0", "part"), 2)),
+                ]
+            )
+        )
+        fragments = {
+            ref.alias: sorted(catalog.scheme(ref.name).fragment_ids)
+            for ref in query.relations
+        }
+        offers = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            aliases = data.draw(
+                st.lists(
+                    st.sampled_from(sorted(fragments)), min_size=1,
+                    unique=True,
+                )
+            )
+            coverage = {
+                alias: data.draw(
+                    st.frozensets(
+                        st.sampled_from(fragments[alias]), min_size=1
+                    )
+                )
+                for alias in aliases
+            }
+            offers.append(
+                offer(
+                    query.subquery_on(aliases),
+                    coverage,
+                    seller=data.draw(st.sampled_from("abc")),
+                )
+            )
+        required = BuyerPlanGenerator(builder, "client").required_coverage(
+            query
+        )
+        analyser = _CountingAnalyser(catalog.schemes)
+        derived = analyser.derive(query, offers, required)
+        keys = [q.key() for q in derived]
+        assert len(keys) == len(set(keys))
+        expected, requests = derive_oracle(
+            BuyerPredicatesAnalyser(catalog.schemes), query, offers, required
+        )
+        assert set(keys) == expected
+        # each distinct request builds its restricted query exactly once
+        assert sorted(analyser.built, key=repr) == sorted(requests, key=repr)
+
+
+class _CountingAnalyser(BuyerPredicatesAnalyser):
+    """Records the ``(alias, fragments)`` of every restricted query it
+    builds."""
+
+    def __init__(self, schemes):
+        super().__init__(schemes)
+        self.built = []
+
+    def _fragment_query(self, query, alias, fragments):
+        self.built.append((alias, fragments))
+        return super()._fragment_query(query, alias, fragments)
+
+
+def derive_oracle(analyser, query, offers, required):
+    """``derive``'s query keys from set algebra, and the distinct
+    ``(alias, fragments)`` requests behind them."""
+    complements = {
+        (alias, required[alias] - fids)
+        for o in offers
+        for alias, fids in o.coverage.items()
+        if alias in required
+        and fids & required[alias]
+        and not required[alias] <= fids
+    }
+    differences = set()
+    for first, second in combinations(offers, 2):
+        if first.aliases != second.aliases:
+            continue
+        for alias, mine in first.coverage.items():
+            theirs = second.coverage[alias]
+            overlap = mine & theirs
+            if overlap and mine != theirs:
+                differences |= {
+                    (alias, side - overlap)
+                    for side in (mine, theirs)
+                    if side - overlap
+                }
+    requests = complements | differences
+    candidates = [
+        analyser._fragment_query(query, alias, fids)
+        for alias, fids in requests
+    ]
+    if len(query.relations) > 1:
+        candidates += [query.subquery_on((r.alias,)) for r in query.relations]
+    if query.order_by:
+        candidates.append(query.without_order())
+    expected = {
+        q.key()
+        for q in candidates
+        if q is not None and not q.is_unsatisfiable
+    }
+    return expected, requests

@@ -1,5 +1,7 @@
 """Integration tests for the full QT algorithm (Figure 2)."""
 
+import gc
+
 import pytest
 
 from repro.cost import CardinalityEstimator, CostModel
@@ -7,6 +9,7 @@ from repro.net import MessageKind, Network
 from repro.optimizer import PlanBuilder
 from repro.sql import RelationRef, SPJQuery, column, eq
 from repro.trading import (
+    BiddingProtocol,
     BuyerPlanGenerator,
     QueryTrader,
     SellerAgent,
@@ -155,3 +158,29 @@ class TestEndToEnd:
         assert result.found
         winners = {c.seller for c in result.contracts}
         assert winners == {"Corfu", "Myconos"}
+
+
+class TestFreedByRefcount:
+    """A finished trade leaves no reference cycle behind: its network,
+    sellers, offers and DP results go with the last reference to them,
+    not at some later cycle collection."""
+
+    @pytest.mark.parametrize("timeout", [None, 30.0])
+    def test_trade_leaves_no_cyclic_garbage(self, world, timeout):
+        catalog, nodes, estimator, model, builder = world
+
+        def trade():
+            trader, _network = make_trader(
+                catalog, nodes, builder, model,
+                protocol=BiddingProtocol(timeout=timeout),
+            )
+            assert trader.optimize(chain_query(3, selection_cat=2)).found
+
+        trade()  # first-call set-up (imports, memo tables) happens here
+        gc.collect()
+        gc.disable()
+        try:
+            trade()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
