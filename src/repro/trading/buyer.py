@@ -24,12 +24,23 @@ Inside one ``generate`` call a rectangle is a single ``int`` (see
 :class:`_Rectangles`), so "may these union" is an XOR and a merge is an
 ``|``.  An entry is numbers plus operands: the rows, site and response
 time of its plan, the money and freshness of its purchased leaves, its
-score under the buyer's valuation (computed once, with the entry), and
-the two entries it joins or unions.  The numbers come from the plan
-builder's own arithmetic (:meth:`PlanBuilder.join_cost`,
-:meth:`PlanBuilder.union_cost`, :func:`fold_response_time`), so they are
-bit-equal to the node's; the node itself is built on demand — operands
-first — only for the complete entries handed out as candidate plans.
+score under the buyer's valuation (:meth:`Valuation.score`, computed
+once, with the entry), and the two entries it joins or unions.  The
+numbers come from the plan builder's own arithmetic
+(:meth:`PlanBuilder.join_cost`, :meth:`PlanBuilder.union_cost`,
+:func:`fold_response_time`), so they are bit-equal to the node's; the
+node itself is built on demand — operands first — only for the
+complete entries handed out as candidate plans.
+
+**Rounds.**  The trader reruns plan generation after every round of
+bids, handing the previous round's result in as ``prior``.  A pass
+seeds its buckets from the offers as always.  If every bucket then
+holds entries of the prior's offers — the *same objects*, in the
+prior's order — everything after seeding would repeat the prior's
+work, so the pass returns the prior's candidates; otherwise it runs in
+full.  Offers are immutable, and one displaced under its key is a new
+object, so identity is enough.  Either way the pass counts in
+``enumerated`` what a pass without ``prior`` counts.
 
 The buyer-side DP can also run in IDP-M(2, m) mode ("after evaluating all
 2-way join sub-plans, it keeps the best five of them"), the paper's
@@ -236,6 +247,55 @@ class CandidatePlan:
         )
 
 
+class _Lattice:
+    """What a later pass of the same trade may reuse from this one.
+
+    ``seeded`` is every bucket right after seeding, in the order the
+    buckets were opened, as ``(subset, offers)``: the offers whose
+    entries the bucket held, in bucket order.  ``after_seeding`` is what
+    the pass enumerated after seeding, and ``candidates`` what it
+    returned.  The owner, query, ``required`` and mode it was made for
+    are kept to reject a mismatched prior.  No entry is kept: between
+    rounds the record weighs a few tuples of references."""
+
+    __slots__ = (
+        "owner", "query", "required", "mode", "seeded", "after_seeding",
+        "candidates",
+    )
+
+    def __init__(
+        self,
+        owner: BuyerPlanGenerator,
+        query: SPJQuery,
+        required: Mapping[str, frozenset[int]],
+        seeded: tuple[tuple[int, tuple[Offer, ...]], ...],
+        after_seeding: int,
+        candidates: tuple[CandidatePlan, ...],
+    ):
+        self.owner = owner
+        self.query = query
+        self.required = required
+        self.mode = owner.mode
+        self.seeded = seeded
+        self.after_seeding = after_seeding
+        self.candidates = candidates
+
+
+def _same_seeding(
+    a: tuple[tuple[int, tuple[Offer, ...]], ...],
+    b: tuple[tuple[int, tuple[Offer, ...]], ...],
+) -> bool:
+    """Whether two passes' buckets after seeding are the same subsets,
+    opened in the same order, holding entries of the same offers — by
+    identity: ``Offer.__eq__`` compares values — in the same order."""
+    return len(a) == len(b) and all(
+        subset_a == subset_b
+        and len(offers_a) == len(offers_b)
+        and all(x is y for x, y in zip(offers_a, offers_b))
+        for (subset_a, offers_a), (subset_b, offers_b) in zip(a, b)
+    )
+
+
 @dataclass
 class PlanGenResult:
     """Outcome of one plan-generation pass."""
@@ -243,6 +303,8 @@ class PlanGenResult:
     best: CandidatePlan | None
     candidates: list[CandidatePlan] = field(default_factory=list)
     enumerated: int = 0
+    #: Handed back as ``generate(..., prior=)`` by the next round.
+    _lattice: _Lattice | None = field(default=None, repr=False, compare=False)
 
     @property
     def found(self) -> bool:
@@ -305,22 +367,27 @@ class BuyerPlanGenerator:
         offers: Sequence[Offer],
         *,
         required: Mapping[str, frozenset[int]] | None = None,
+        prior: PlanGenResult | None = None,
     ) -> PlanGenResult:
         """Candidate plans for *query* out of *offers*.
 
         *required* is ``required_coverage(query)`` when the caller
         already holds it (the trader derives it once per trade).
+        *prior* is this generator's result for the same query and
+        *required* in the previous round; its work is reused where the
+        new offers leave it unchanged, and the result is the one a pass
+        without *prior* returns.
         """
         if required is None:
             required = self.required_coverage(query)
         tracer = self.tracer
         if not tracer.enabled:
-            return self._generate(query, offers, required)
+            return self._generate(query, offers, required, prior)
         with tracer.span(
             "buyer.plangen", "trading", site=self.buyer_site,
             mode=self.mode, offers=len(offers),
         ) as span:
-            result = self._generate(query, offers, required)
+            result = self._generate(query, offers, required, prior)
             span.set(
                 enumerated=result.enumerated,
                 candidates=len(result.candidates),
@@ -333,11 +400,17 @@ class BuyerPlanGenerator:
         query: SPJQuery,
         offers: Sequence[Offer],
         required: Mapping[str, frozenset[int]],
+        prior: PlanGenResult | None,
     ) -> PlanGenResult:
+        if prior is not None:
+            self._check_prior(prior, query, required)
         aliases = frozenset(query.aliases)
         alias_to_relation = {r.alias: r.name for r in query.relations}
         if any(not fids for fids in required.values()):
-            return PlanGenResult(best=None)  # unsatisfiable selection
+            # unsatisfiable selection
+            return PlanGenResult(
+                best=None, _lattice=_Lattice(self, query, required, (), 0, ())
+            )
         conjuncts = query.predicate.conjuncts()
         graph = JoinGraph(aliases, conjuncts)
         rects = _Rectangles(graph.aliases, required)
@@ -352,6 +425,8 @@ class BuyerPlanGenerator:
             query.has_aggregates or query.group_by or query.distinct
         )
         subsets: dict[int, dict[tuple, _Entry]] = {}
+        # id(entry) -> the offer it was seeded from
+        seeded_from: dict[int, Offer] = {}
         for offer in offers:
             if not offer.aliases or not offer.aliases <= aliases:
                 continue
@@ -387,14 +462,6 @@ class BuyerPlanGenerator:
             money = 0.0 + plan.money
             freshness = min(1.0, plan.freshness)
             time = plan.response_time()
-            score = self.valuation(
-                AnswerProperties(
-                    total_time=time,
-                    rows=plan.rows,
-                    money=money,
-                    freshness=freshness,
-                )
-            )
             entry = _Entry(
                 plan.rows,
                 plan.site,
@@ -405,11 +472,35 @@ class BuyerPlanGenerator:
                 (plan.money,),
                 money,
                 freshness,
-                score,
+                self.valuation.score(time, plan.rows, money, freshness),
                 plan=plan,
             )
+            seeded_from[id(entry)] = offer
             self._add_entry(subsets, subset, entry)
             enumerated += 1
+
+        # Everything from here on is a function of the seeded buckets
+        # (contents, order, and the order they were opened in), the
+        # query and *required*; a seed entry is a function of its offer,
+        # and offers are immutable.  So if every bucket holds entries of
+        # *prior*'s offers — the same objects — in *prior*'s order, the
+        # rest of the pass is *prior*'s.
+        seeded = tuple(
+            (subset, tuple(seeded_from[id(e)] for e in bucket.values()))
+            for subset, bucket in subsets.items()
+        )
+        if prior is not None and _same_seeding(seeded, prior._lattice.seeded):
+            lattice = prior._lattice
+            return PlanGenResult(
+                best=lattice.candidates[0] if lattice.candidates else None,
+                candidates=list(lattice.candidates),
+                enumerated=enumerated + lattice.after_seeding,
+                _lattice=_Lattice(
+                    self, query, required, seeded, lattice.after_seeding,
+                    lattice.candidates,
+                ),
+            )
+        seeded_count = enumerated
 
         # Union closure at seed level.
         for subset in list(subsets):
@@ -457,7 +548,31 @@ class BuyerPlanGenerator:
             )
         candidates.sort(key=lambda c: c.value)
         best = candidates[0] if candidates else None
-        return PlanGenResult(best=best, candidates=candidates, enumerated=enumerated)
+        return PlanGenResult(
+            best=best,
+            candidates=candidates,
+            enumerated=enumerated,
+            _lattice=_Lattice(
+                self, query, required, seeded, enumerated - seeded_count,
+                tuple(candidates),
+            ),
+        )
+
+    def _check_prior(
+        self,
+        prior: PlanGenResult,
+        query: SPJQuery,
+        required: Mapping[str, frozenset[int]],
+    ) -> None:
+        """Raise unless *prior* is this generator's pass over the same
+        query, *required* and mode."""
+        lattice = prior._lattice
+        if lattice is None or lattice.owner is not self:
+            raise ValueError("prior is not a result of this generator")
+        if lattice.mode != self.mode:
+            raise ValueError("prior was generated in another mode")
+        if lattice.query != query or lattice.required != required:
+            raise ValueError("prior was generated for another query")
 
     # ------------------------------------------------------------------
     def _level_block(
@@ -543,11 +658,6 @@ class BuyerPlanGenerator:
         for amount in b.monies:  # continue the sum in leaf order
             money += amount
         freshness = min(a.freshness, b.freshness)
-        score = self.valuation(
-            AnswerProperties(
-                total_time=time, rows=rows, money=money, freshness=freshness
-            )
-        )
         return _Entry(
             rows,
             self.buyer_site,
@@ -558,7 +668,7 @@ class BuyerPlanGenerator:
             a.monies + b.monies,
             money,
             freshness,
-            score,
+            self.valuation.score(time, rows, money, freshness),
             a,
             b,
             split,

@@ -304,6 +304,9 @@ class QueryTrader:
         iterations = 0
         resilience = ResilienceSummary()
         budget_exhausted = False
+        # The previous round's plan generation, which the next one reuses
+        # where the offer table left it unchanged; it goes with this call.
+        plan_result = None
 
         for round_number in range(1, self.max_iterations + 1):
             queries = [q for q in queries if q.key() not in asked]
@@ -368,7 +371,7 @@ class QueryTrader:
                 # booked on the buyer's timeline).
                 all_offers = list(offers.values())
                 plan_result = self.plan_generator.generate(
-                    query, all_offers, required=required
+                    query, all_offers, required=required, prior=plan_result
                 )
                 plan_work = (
                     plan_result.enumerated

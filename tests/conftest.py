@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,26 @@ def gather_offers(catalog, node_list, builder, query):
         node_offers, _work = agent.prepare_offers(rfb)
         offers.extend(node_offers)
     return offers
+
+
+def watch_plan_rounds(monkeypatch) -> list:
+    """Record each ``BuyerPlanGenerator.generate`` call from now on as
+    ``(weak reference to its result, whether it was handed the previous
+    call's result as prior)``."""
+    calls = []
+    generate = BuyerPlanGenerator.generate
+
+    def watched(self, query, offers, **kwargs):
+        previous = calls[-1][0]() if calls else None
+        prior = kwargs.get("prior")
+        result = generate(self, query, offers, **kwargs)
+        calls.append(
+            (weakref.ref(result), prior is not None and prior is previous)
+        )
+        return result
+
+    monkeypatch.setattr(BuyerPlanGenerator, "generate", watched)
+    return calls
 
 
 GOLDEN_PLANS = Path(__file__).with_name("golden_plans.json")

@@ -35,6 +35,7 @@ from repro.broker.server import MAX_BODY_BYTES, _Handler
 from repro.broker.sessions import RUNNING, BrokerSession, SessionSpec
 from repro.trading.commodity import offer_id_scope
 from repro.workload import BurstConfig, build_bursty_workload
+from tests.conftest import watch_plan_rounds
 
 WORLD = dict(
     nodes=6, n_relations=4, rows=10_000, fragments=2, replicas=2, seed=7
@@ -821,6 +822,25 @@ class TestRetention:
             finally:
                 gc.enable()
         finally:
+            service.close()
+
+    def test_session_keeps_no_plan_round(self, arrivals, monkeypatch):
+        """A finished session holds its trade's result, not the plan
+        generation rounds (and their lattice records) behind it."""
+        service = make_service()
+        rounds = watch_plan_rounds(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            session = submit_sql(service, arrivals[0].query.sql())
+            assert session.wait(timeout=60.0)
+            assert service.result_payload(session.session_id)["found"]
+            assert rounds
+            handed = [prior for _ref, prior in rounds]
+            assert handed == [False] + [True] * (len(rounds) - 1)
+            assert all(ref() is None for ref, _prior in rounds)
+        finally:
+            gc.enable()
             service.close()
 
 

@@ -27,8 +27,12 @@ from repro.trading import (
     QueryTrader,
     SellerAgent,
 )
-from repro.trading.buyer import BuyerPredicatesAnalyser, _Rectangles
-from repro.trading.commodity import offer_id_scope
+from repro.trading.buyer import (
+    BuyerPredicatesAnalyser,
+    PlanGenResult,
+    _Rectangles,
+)
+from repro.trading.commodity import next_offer_id, offer_id_scope
 from repro.trading.valuation import TIME_ONLY, Valuation
 from repro.workload import chain_query, star_query
 from tests.conftest import assert_golden, gather_offers, make_federation
@@ -608,7 +612,9 @@ class TestEntriesAreNumbers:
         """Scoring builds no plan node: one ``generate`` on the
         trade_deep chain-9 input calls ``PlanBuilder.join``/``union`` at
         most once per join or union node of the candidates it returns
-        (≈ 27,000 times per round when every scored entry was a node)."""
+        (≈ 27,000 times per round when every scored entry was a node).
+        Round two's new offers change no seeded bucket, so it reuses
+        round one's candidates and builds no node at all."""
         world = build_world(nodes=32, n_relations=9, fragments=4, replicas=2)
         builder = _CountingBuilder(world.builder)
         rounds = []
@@ -631,9 +637,10 @@ class TestEntriesAreNumbers:
         )
         with offer_id_scope():
             assert trader.optimize(chain_query(9, selection_cat=3)).found
-        assert rounds
-        for calls, nodes in rounds:
-            assert 0 < calls <= nodes
+        assert len(rounds) == 2
+        (first_calls, first_nodes), (second_calls, _nodes) = rounds
+        assert 0 < first_calls <= first_nodes
+        assert second_calls == 0
 
 
 class _CountingBuilder(PlanBuilder):
@@ -668,6 +675,161 @@ def join_and_union_nodes(plans):
         found += isinstance(node, (HashJoin, NestedLoopJoin, Union))
         stack.extend(node.children)
     return found
+
+
+def fingerprint(result):
+    """What a pass must reproduce: its count and its candidates' bytes,
+    in order."""
+    return result.enumerated, [
+        (c.plan.explain(), c.plan.response_time().hex(), c.value.hex())
+        for c in result.candidates
+    ]
+
+
+def repriced(offer, factor):
+    """A new offer object: *offer* at *factor* times its total time."""
+    props = offer.properties
+    return replace(
+        offer,
+        properties=replace(props, total_time=props.total_time * factor),
+        offer_id=next_offer_id(),
+    )
+
+
+@lru_cache(maxsize=None)
+def small_market(world_key, shape, relations):
+    """A query and every seller's offers for it and for each of its
+    relations alone (partial offers make unions and joins)."""
+    catalog, nodes, _est, _model, builder = small_world(*world_key)
+    if shape == "star":
+        query = star_query(relations - 1)
+    else:
+        query = (chain_query if shape == "chain" else cross_query)(relations)
+    offers = []
+    with offer_id_scope():
+        for asked in [query] + [
+            query.subquery_on((ref.alias,)) for ref in query.relations
+        ]:
+            offers += gather_offers(catalog, nodes, builder, asked)
+    return builder, query, tuple(offers)
+
+
+class TestRoundReuse:
+    """``generate(..., prior=)`` returns what a pass without it returns:
+    *prior*'s candidates when the seeded buckets are *prior*'s (by
+    identity), the full pass otherwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        world_key=st.tuples(
+            st.sampled_from([3, 7, 11]),  # seed
+            st.sampled_from([2, 4]),  # fragments
+            st.sampled_from([1, 2]),  # replicas
+        ),
+        shape=st.sampled_from(["chain", "star", "cross"]),
+        relations=st.integers(2, 4),
+        mode=st.sampled_from(["dp", "idp"]),
+        data=st.data(),
+    )
+    def test_prior_equals_from_scratch(
+        self, world_key, shape, relations, mode, data
+    ):
+        builder, query, offers = small_market(world_key, shape, relations)
+        # Offers arrive in 2-3 batches, as the trader's offer table grows:
+        # later batches also bring worse copies of earlier offers (they
+        # lose in their bucket) and displace an earlier offer in place
+        # with a cheaper copy (a new object under the old key).
+        order = data.draw(st.permutations(offers))
+        cuts = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(1, len(order) - 1), min_size=1, max_size=2,
+                    unique=True,
+                )
+            )
+        )
+        batches = [
+            list(order[start:end])
+            for start, end in zip([0] + cuts, cuts + [len(order)])
+        ]
+        generator = BuyerPlanGenerator(builder, "client", mode=mode)
+        table = []
+        prior = None
+        for number, batch in enumerate(batches):
+            if number:
+                for _ in range(data.draw(st.integers(0, 2))):
+                    worse = data.draw(st.sampled_from(table))
+                    batch.append(repriced(worse, 2.0))
+                if data.draw(st.booleans()):
+                    at = data.draw(st.integers(0, len(table) - 1))
+                    table[at] = repriced(table[at], 0.5)
+            table += batch
+            resumed = generator.generate(query, table, prior=prior)
+            assert fingerprint(resumed) == fingerprint(
+                generator.generate(query, table)
+            )
+            prior = resumed
+
+    @staticmethod
+    def first_round():
+        builder, query, offers = small_market((7, 4, 2), "chain", 3)
+        generator = BuyerPlanGenerator(builder, "client")
+        first = generator.generate(query, offers)
+        assert first.found
+        winner = first.best.purchased()[0].offer_id
+        at = next(i for i, o in enumerate(offers) if o.offer_id == winner)
+        return generator, query, list(offers), first, at
+
+    def test_unchanged_buckets_reuse_the_prior(self):
+        generator, query, offers, first, at = self.first_round()
+        # a dearer copy of a winning offer loses in its bucket
+        offers.append(repriced(offers[at], 2.0))
+        second = generator.generate(query, offers, prior=first)
+        assert len(second.candidates) == len(first.candidates)
+        assert all(
+            a is b for a, b in zip(second.candidates, first.candidates)
+        )
+        assert second.enumerated == first.enumerated + 1
+        assert fingerprint(second) == fingerprint(
+            generator.generate(query, offers)
+        )
+
+    def test_displaced_offer_runs_the_full_pass(self):
+        generator, query, offers, first, at = self.first_round()
+        offers[at] = repriced(offers[at], 0.5)
+        second = generator.generate(query, offers, prior=first)
+        assert second.best is not first.best
+        assert fingerprint(second) == fingerprint(
+            generator.generate(query, offers)
+        )
+
+    def test_mismatched_prior_raises(self, world):
+        catalog, builder = world
+        query = chain_query(2)
+        frags = catalog.scheme("R0").fragment_ids
+        offers = [
+            offer(
+                query, {"r0": frags, "r1": catalog.scheme("R1").fragment_ids}
+            )
+        ]
+        generator = BuyerPlanGenerator(builder, "client")
+        prior = generator.generate(query, offers)
+        required = generator.required_coverage(query)
+        narrower = {**required, "r0": frozenset(sorted(frags)[:1])}
+        idp = BuyerPlanGenerator(builder, "client", mode="idp")
+        mismatches = [
+            (generator, chain_query(3), {}),  # another query
+            (generator, query, {"required": narrower}),
+            (idp, query, {}),  # another generator
+            (generator, query, {"prior": PlanGenResult(best=None)}),
+        ]
+        for owner, asked, kwargs in mismatches:
+            kwargs.setdefault("prior", prior)
+            with pytest.raises(ValueError):
+                owner.generate(asked, offers, **kwargs)
+        generator.mode = "idp"  # another mode
+        with pytest.raises(ValueError):
+            generator.generate(query, offers, prior=prior)
 
 
 class TestPredicatesAnalyser:

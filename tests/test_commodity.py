@@ -1,6 +1,7 @@
 """Unit tests for commodities (offers, RFBs) and valuations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sql import RelationRef, SPJQuery
 from repro.trading import AnswerProperties, Offer, RequestForBids
@@ -85,6 +86,40 @@ class TestValuation:
     def test_first_row_weight(self):
         v = WeightedValuation(first_row_weight=1.0)
         assert v(props(first_row_time=0.5)) == pytest.approx(1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.tuples(*[st.floats(0.0, 10.0)] * 5),
+        time=st.floats(0.0, 1e4),
+        rows=st.floats(0.0, 1e9),
+        money=st.floats(-1e3, 1e3),
+        freshness=st.floats(0.0, 1.0),
+    )
+    def test_score_is_value_bit_for_bit(
+        self, weights, time, rows, money, freshness
+    ):
+        v = WeightedValuation(*weights)
+        got = v.score(time, rows, money, freshness)
+        expected = v(
+            props(total_time=time, rows=rows, money=money, freshness=freshness)
+        )
+        assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "time, rows, freshness",
+        [
+            (-1.0, 1.0, 1.0),
+            (1.0, -1.0, 1.0),
+            (1.0, 1.0, 1.5),
+            (1.0, 1.0, -0.1),
+        ],
+    )
+    def test_score_rejects_what_properties_reject(self, time, rows, freshness):
+        with pytest.raises(ValueError) as built:
+            props(total_time=time, rows=rows, freshness=freshness)
+        with pytest.raises(ValueError) as scored:
+            WeightedValuation().score(time, rows, 0.0, freshness)
+        assert str(scored.value) == str(built.value)
 
 
 class TestContract:

@@ -15,7 +15,7 @@ from repro.trading import (
     SellerAgent,
 )
 from repro.workload import chain_query
-from tests.conftest import make_federation, make_trader
+from tests.conftest import make_federation, make_trader, watch_plan_rounds
 
 
 @pytest.fixture(scope="module")
@@ -182,5 +182,23 @@ class TestFreedByRefcount:
         try:
             trade()
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_round_results_die_with_the_trade(self, world, monkeypatch):
+        """Each round's plan generation, lattice record included, is
+        handed to the next round and kept by nothing else: refcounting
+        frees every one of them by the time ``optimize`` returns."""
+        catalog, nodes, estimator, model, builder = world
+        trader, _network = make_trader(catalog, nodes, builder, model)
+        rounds = watch_plan_rounds(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            assert trader.optimize(chain_query(3, selection_cat=2)).found
+            assert len(rounds) >= 2
+            handed = [prior for _ref, prior in rounds]
+            assert handed == [False] + [True] * (len(rounds) - 1)
+            assert all(ref() is None for ref, _prior in rounds)
         finally:
             gc.enable()
