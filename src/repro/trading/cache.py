@@ -16,13 +16,18 @@ capability change (e.g. marketplace load feedback) is automatically a
 miss and nothing stale is ever served.  Hit/miss counters follow the
 ``NetworkStats`` snapshot/delta idiom so callers can report per-trade
 deltas.
+
+The same cache also memoizes the step before optimization, the seller's
+rewrite of a requested query to its holdings (:meth:`OfferCache.rewrite`).
+A rewrite depends only on the query and the held fragments, so replicas
+holding the same fragments share one.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.cost.model import NodeCapabilities
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -31,6 +36,7 @@ from repro.trading.commodity import coverage_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.dp import DPResult
+    from repro.sql.rewrite import RewrittenQuery
 
 __all__ = [
     "CacheStats",
@@ -43,6 +49,11 @@ __all__ = [
 DEFAULT_HIT_WORK_FRACTION = 0.1
 
 CacheKey = tuple[str, tuple[tuple[str, tuple[int, ...]], ...], str, NodeCapabilities, str]
+#: ``(relation, fragment ids)`` of a node's non-empty holdings, sorted.
+HeldSignature = tuple[tuple[str, tuple[int, ...]], ...]
+RewriteKey = tuple[str, SPJQuery, HeldSignature]
+
+_MISSING = object()
 
 
 @dataclass
@@ -132,11 +143,14 @@ class OfferCache:
         (1.0 disables the simulated-time benefit while still skipping
         real re-enumeration work).
     max_entries:
-        FIFO capacity bound; the oldest entry is evicted when full.
+        FIFO capacity bound; the oldest entry is evicted when full.  The
+        rewrite memo is bounded by the same number, separately.
 
     A cache may be private to one seller or shared by all sellers of a
     federation world; lookups are keyed by site, so sharing never mixes
-    results across nodes — it only pools capacity and statistics.
+    results across nodes — it only pools capacity and statistics.  The
+    rewrite memo is keyed by held fragments instead of site (fragment
+    ids are the world's), so it is shared across sellers on purpose.
 
     Concurrency: entry and counter mutations are guarded by a lock so
     broker sessions running on separate threads can share one cache
@@ -165,6 +179,7 @@ class OfferCache:
         #: Shared — like the entry dict — by session views.
         self.interns: InternTable | None = None
         self._entries: dict[CacheKey, "DPResult"] = {}
+        self._rewrites: dict[RewriteKey, "RewrittenQuery | None"] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -234,6 +249,39 @@ class OfferCache:
         if evicted is not None and self.tracer.enabled:
             self.tracer.event("cache.evict", "cache", site=evicted[2])
 
+    def rewrite(
+        self,
+        query: SPJQuery,
+        held: HeldSignature,
+        compute: Callable[[], "RewrittenQuery | None"],
+    ) -> "RewrittenQuery | None":
+        """The rewrite of *query* for a node holding *held*, memoized.
+
+        The key is the query itself, not only its canonical key: two
+        queries with one key but a different FROM order rewrite to
+        different text, and each must get its own.  The canonical key
+        is in it too, because structural equality cannot tell the
+        literal ``1`` from ``1.0``.  ``None`` (nothing to contribute) is
+        memoized like any rewrite.  The rewrite returned is shared by
+        every seller with these holdings: treat it, coverage included,
+        as read-only.  *compute* runs outside the lock; no hit or miss
+        is counted.
+        """
+        key = (query.key(), query, held)
+        with self._lock:
+            found = self._rewrites.get(key, _MISSING)
+        if found is not _MISSING:
+            return found
+        rewritten = compute()
+        with self._lock:
+            if (
+                key not in self._rewrites
+                and len(self._rewrites) >= self.max_entries
+            ):
+                del self._rewrites[next(iter(self._rewrites))]
+            self._rewrites[key] = rewritten
+        return rewritten
+
     def keys(self) -> list[CacheKey]:
         """The cached keys, in store order (the MQO epoch scheduler
         diffs this around its shared-pricing prepass to learn which
@@ -244,15 +292,17 @@ class OfferCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._rewrites.clear()
 
     def session_view(self) -> "OfferCache":
         """A per-session facade over this cache.
 
-        The view shares the entry dict, lock, capacity policy, and hit
-        discount — results cached by any session serve every other —
-        but keeps **private** :class:`CacheStats` and tracer, so each
-        broker session reports only its own hits/misses and traces only
-        its own cache events.  Views of views share the same base.
+        The view shares the entry dict, rewrite memo, lock, capacity
+        policy, and hit discount — results cached by any session serve
+        every other — but keeps **private** :class:`CacheStats` and
+        tracer, so each broker session reports only its own hits/misses
+        and traces only its own cache events.  Views of views share the
+        same base.
         """
         view = OfferCache.__new__(OfferCache)
         view.hit_work_fraction = self.hit_work_fraction
@@ -261,5 +311,6 @@ class OfferCache:
         view.tracer = NULL_TRACER
         view.interns = self.interns
         view._entries = self._entries
+        view._rewrites = self._rewrites
         view._lock = self._lock
         return view

@@ -3,8 +3,14 @@ seller predicates analyser (Sections 3.4–3.5).
 
 On receiving an RFB the seller:
 
+0. **skips**: a node holding none of the requested relations answers
+   ``NO_OFFER`` without rewriting (its views and subcontractor, if any,
+   are still asked; a node with no fragment, no view and no
+   subcontractor skips the whole RFB),
 1. **rewrites** each requested query to its local holdings (dropping
-   non-local relations, restricting extents to local fragments),
+   non-local relations, restricting extents to local fragments); the
+   rewrite is memoized in the offer cache, keyed by the held fragments,
+   so replicas share it,
 2. runs its **local optimizer** — the modified dynamic programming
    algorithm — obtaining a precise plan/cost for the rewritten query *and*
    the optimal 2-way, 3-way, ... partial results, each of which becomes
@@ -92,7 +98,8 @@ class SellerAgent:
     offer_cache:
         A shared :class:`~repro.trading.cache.OfferCache`; by default the
         agent creates a private one.  Pass ``use_offer_cache=False`` to
-        disable caching entirely (every request re-optimizes).
+        disable caching entirely (every request re-optimizes and is
+        rewritten again; the cache also holds the rewrite memo).
     """
 
     def __init__(
@@ -131,6 +138,19 @@ class SellerAgent:
             self.offer_cache: OfferCache | None = offer_cache
         else:
             self.offer_cache = OfferCache() if use_offer_cache else None
+        #: The holdings as a rewrite-memo key; equal across replicas.
+        self._held_signature = tuple(
+            sorted(
+                (name, tuple(sorted(fids)))
+                for name, fids in local.held.items()
+                if fids
+            )
+        )
+        #: Relations this node holds a fragment of: a query naming none
+        #: of them rewrites to ``None`` without being rewritten.
+        self._held_relations = frozenset(
+            name for name, _fids in self._held_signature
+        )
         #: Observability hook; the trader attaches its network tracer.
         self.tracer: Tracer = NULL_TRACER
         #: Cache lineage of the most recent :meth:`optimize_cached` call
@@ -164,6 +184,9 @@ class SellerAgent:
             return offers, work
 
     def _prepare(self, rfb: RequestForBids) -> tuple[list[Offer], float]:
+        if not self._held_relations and not self._answers_unheld():
+            return [], 0.0
+        tracer = self.tracer
         offers: list[Offer] = []
         work = 0.0
         lineage: dict[str, str] = {}
@@ -171,15 +194,13 @@ class SellerAgent:
         for query in rfb.queries:
             self._last_cache_lineage = "none"
             self._nominal_effort = 0.0
-            new_offers, query_work = self._offers_for(
-                query, rfb.reservation_for(query), rfb.round_number
-            )
-            lineage[query.key()] = self._last_cache_lineage
-            efforts[query.key()] = self._nominal_effort
+            new_offers, query_work = self._offers_for(query, rfb)
+            if tracer.enabled:
+                lineage[query.key()] = self._last_cache_lineage
+                efforts[query.key()] = self._nominal_effort
             offers.extend(new_offers)
             work += query_work
         deduped = _dedupe(offers)
-        tracer = self.tracer
         if tracer.enabled:
             # Decision-ledger provenance: one pricing record per offer
             # that survives dedupe, carrying the optimization lineage
@@ -262,25 +283,47 @@ class SellerAgent:
         return result, nominal
 
     # ------------------------------------------------------------------
+    def _answers_unheld(self) -> bool:
+        """May views or a subcontractor answer what no fragment covers?"""
+        return bool(self.use_views and self.local.views) or (
+            self.subcontractor is not None
+        )
+
+    def _rewrite(self, query: SPJQuery) -> RewrittenQuery | None:
+        """:func:`rewrite_query` against this node's holdings, through
+        the offer cache's rewrite memo when there is a cache."""
+        local = self.local
+
+        def compute() -> RewrittenQuery | None:
+            return rewrite_query(
+                query, local.schemas, local.schemes, local.held
+            )
+
+        cache = self.offer_cache
+        if cache is None:
+            return compute()
+        return cache.rewrite(query, self._held_signature, compute)
+
     def _offers_for(
-        self,
-        query: SPJQuery,
-        reservation: float | None,
-        round_number: int,
+        self, query: SPJQuery, rfb: RequestForBids
     ) -> tuple[list[Offer], float]:
-        caps = self.builder.caps(self.node)
+        held = self._held_relations
+        rewritten = (
+            self._rewrite(query)
+            if any(ref.name in held for ref in query.relations)
+            else None
+        )
+        if rewritten is None and not self._answers_unheld():
+            return [], 0.0
         ctx = SellerContext(
             query_key=query.key(),
-            reservation=reservation,
-            round_number=round_number,
-            caps=caps,
+            reservation=rfb.reservation_for(query),
+            round_number=rfb.round_number,
+            caps=self.builder.caps(self.node),
         )
         offers: list[Offer] = []
         work = 0.0
 
-        rewritten = rewrite_query(
-            query, self.local.schemas, self.local.schemes, self.local.held
-        )
         if rewritten is not None:
             result, opt_work = self.optimize_cached(
                 rewritten.query, rewritten.coverage

@@ -88,6 +88,58 @@ class TestOfferCache:
         assert cache.lookup(keys[2]) == 2
 
 
+class TestRewriteMemo:
+    """The seller's rewrite memo lives in the cache, under its bound."""
+
+    @staticmethod
+    def _rewrite(cache, i, computed):
+        held = (("R0", (i,)),)
+
+        def compute():
+            computed.append(i)
+            return f"rewrite-{i}"
+
+        return cache.rewrite(chain_query(2), held, compute)
+
+    def test_bounded_by_max_entries_fifo(self):
+        cache = OfferCache(max_entries=4)
+        computed = []
+        for i in range(8):
+            assert self._rewrite(cache, i, computed) == f"rewrite-{i}"
+        assert computed == list(range(8))
+        assert len(cache._rewrites) <= cache.max_entries
+        # The newest are kept, the oldest went first.
+        assert self._rewrite(cache, 7, computed) == "rewrite-7"
+        assert self._rewrite(cache, 0, computed) == "rewrite-0"
+        assert computed == list(range(8)) + [0]
+        assert len(cache) == 0  # the DP entries are a separate bound
+
+    def test_none_is_memoized(self):
+        cache = OfferCache()
+        calls = []
+        for _ in range(3):
+            assert cache.rewrite(
+                chain_query(2), (), lambda: calls.append(1)
+            ) is None
+        assert calls == [1]
+
+    def test_session_view_shares_and_clear_empties_both(self):
+        base = OfferCache()
+        computed = []
+        self._rewrite(base, 1, computed)
+        view = base.session_view()
+        assert self._rewrite(view, 1, computed) == "rewrite-1"
+        assert computed == [1]  # the view saw the base's entry
+        self._rewrite(view, 2, computed)
+        assert self._rewrite(base, 2, computed) == "rewrite-2"
+        assert computed == [1, 2]
+        base.clear()
+        assert base._rewrites == {} and view._rewrites == {}
+        self._rewrite(view, 1, computed)
+        assert computed == [1, 2, 1]
+        assert (base.stats.lookups, view.stats.lookups) == (0, 0)
+
+
 class TestSellerCachedOptimize:
     def test_hit_charges_fraction_of_work(self):
         catalog, nodes, _est, _model, builder = make_federation()
@@ -278,3 +330,41 @@ class TestConcurrentSessions:
         assert len(base) == len(keys)
         total_misses = sum(view.stats.misses for view in views)
         assert len(keys) <= total_misses <= len(keys) * len(views)
+
+    def test_rewrite_memo_stays_bounded_under_threads(self):
+        import sys
+        import threading
+
+        base = OfferCache(max_entries=8)
+        query = chain_query(2)
+        views = [base.session_view() for _ in range(8)]
+        barrier = threading.Barrier(len(views))
+        wrong = []
+
+        def session(view):
+            barrier.wait()
+            try:
+                for i in range(2000):
+                    held = (("R0", (i % 24,)),)
+                    got = view.rewrite(query, held, lambda held=held: held)
+                    if got != held or len(base._rewrites) > base.max_entries:
+                        wrong.append((held, got))
+            except Exception as exc:  # a torn eviction; reported below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=session, args=(view,))
+                for view in views
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(base._rewrites) <= base.max_entries

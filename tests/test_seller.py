@@ -1,16 +1,29 @@
 """Unit tests for the seller agent (partial query constructor, predicates
 analyser, pricing)."""
 
+from dataclasses import replace
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.cost import CardinalityEstimator, CostModel
+from repro.obs.tracer import Tracer
 from repro.optimizer import PlanBuilder
+from repro.sql.expr import column, eq
+from repro.sql.rewrite import rewrite_query
+from repro.sql.views import MaterializedView
 from repro.trading import (
     CompetitiveSellerStrategy,
+    OfferCache,
     RequestForBids,
     SellerAgent,
+    Subcontractor,
 )
-from repro.workload import build_telecom_scenario
+from repro.trading.seller import SECONDS_PER_VIEW_MATCH
+from repro.workload import build_telecom_scenario, chain_query
+
+from tests.conftest import make_federation
 
 
 @pytest.fixture
@@ -235,3 +248,335 @@ class TestMessageSizing:
             * network.stats.messages
         )
         assert network.stats.bytes > base  # offers pay for their content
+
+
+# -- the skip and the rewrite memo ------------------------------------------
+
+
+def naive_agent(local, builder, **kwargs):
+    """A seller that never skips: it rewrites and prices every query, as
+    every seller did before the skip and the rewrite memo existed."""
+    agent = SellerAgent(local, builder, use_offer_cache=False, **kwargs)
+    agent._held_relations = frozenset(local.schemas)
+    agent._answers_unheld = lambda: True
+    return agent
+
+
+_PROPERTY_FIELDS = (
+    "total_time", "rows", "first_row_time", "rows_per_second",
+    "freshness", "completeness", "money",
+)
+
+
+def fingerprint(offers, work):
+    """Offers in order with every float as hex, then the work."""
+    return [
+        (
+            o.seller,
+            o.dedupe_key(),
+            o.query.sql(),
+            o.request_key,
+            o.true_cost.hex(),
+            tuple(
+                float(getattr(o.properties, name)).hex()
+                for name in _PROPERTY_FIELDS
+            ),
+        )
+        for o in offers
+    ], work.hex()
+
+
+def record_rows(tracer):
+    """Trace records without their wall-clock stamps."""
+    return [
+        (r.seq, r.kind, r.name, r.cat, r.site, r.sim_start, r.sim_end,
+         r.span_id, r.parent_id, r.args)
+        for r in tracer.records
+    ]
+
+
+@st.composite
+def worlds(draw):
+    """Small uniform federations; few fragments and replicas on many
+    nodes leave some sellers holding nothing (``client`` always)."""
+    n_relations = draw(st.integers(2, 4))
+    catalog, nodes, _est, _model, builder = make_federation(
+        nodes=draw(st.integers(3, 9)),
+        n_relations=n_relations,
+        rows=1000,
+        fragments=draw(st.integers(1, 3)),
+        replicas=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return catalog, nodes, builder, n_relations
+
+
+@st.composite
+def queries(draw, n_relations):
+    """A chain query over a window of the relations, in a random FROM
+    order, optionally pinned to one value of the partitioning attribute
+    (so some holders' fragments are disjoint from it)."""
+    size = draw(st.integers(1, min(3, n_relations)))
+    query = chain_query(
+        size,
+        selection_cat=draw(st.none() | st.integers(0, 3)),
+        aggregate=draw(st.booleans()),
+        relation_offset=draw(st.integers(0, n_relations - size)),
+    )
+    if draw(st.booleans()):
+        alias = f"r{draw(st.integers(0, size - 1))}"
+        query = query.restrict(eq(column(alias, "part"), draw(st.integers(0, 2))))
+    return replace(query, relations=tuple(draw(st.permutations(query.relations))))
+
+
+DIFFERENTIAL = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestSkipAndRewriteMemo:
+    @given(data=st.data())
+    @DIFFERENTIAL
+    def test_unheld_relations_rewrite_to_none(self, data):
+        """What the skip relies on: holding no fragment of any relation
+        the query names means there is nothing to rewrite to."""
+        catalog, _nodes, _builder, n = data.draw(worlds())
+        query = data.draw(queries(n))
+        held = {}
+        for name, scheme in sorted(catalog.schemes.items()):
+            if name in query.relation_names:
+                if data.draw(st.booleans()):
+                    held[name] = frozenset()
+                continue
+            held[name] = frozenset(
+                data.draw(st.sets(st.sampled_from(sorted(scheme.fragment_ids))))
+            )
+        assert rewrite_query(
+            query, catalog.schemas, catalog.schemes, held
+        ) is None
+
+    @given(data=st.data())
+    @DIFFERENTIAL
+    def test_skipping_seller_equals_naive_seller(self, data):
+        """A seller whose cache a replica warmed offers exactly what a
+        seller with no cache and no skip offers — offer for offer, in
+        order, bit for bit, with the same work.  Worlds include empty
+        sellers, views over relations the seller does not hold, and a
+        subcontractor."""
+        catalog, nodes, builder, n = data.draw(worlds())
+        node = data.draw(st.sampled_from(nodes))
+        asked = tuple(data.draw(st.lists(queries(n), min_size=1, max_size=3)))
+        viewed = data.draw(st.lists(st.sampled_from(asked), max_size=2))
+        local = replace(
+            catalog.local(node),
+            views=tuple(
+                MaterializedView(f"v{i}", q, row_count=100)
+                for i, q in enumerate(viewed)
+            ),
+        )
+        peers = {
+            peer: SellerAgent(catalog.local(peer), builder, use_offer_cache=False)
+            for peer in nodes
+            if peer != node
+        }
+        subcontracts = data.draw(st.booleans())
+
+        def options():
+            if not subcontracts:
+                return {}
+            return {"subcontractor": Subcontractor(peers, max_peers=3)}
+
+        rfb = RequestForBids(
+            "client", asked, round_number=data.draw(st.integers(0, 2))
+        )
+        # A hit charges what a miss charges, so the work must match too.
+        shared = OfferCache(hit_work_fraction=1.0)
+        replica = SellerAgent(
+            replace(local, node=f"{node}-replica"), builder,
+            offer_cache=shared, **options(),
+        )
+        replica.prepare_offers(rfb)
+        warmed = SellerAgent(local, builder, offer_cache=shared, **options())
+        naive = naive_agent(local, builder, **options())
+        assert fingerprint(*warmed.prepare_offers(rfb)) == fingerprint(
+            *naive.prepare_offers(rfb)
+        )
+
+    @given(data=st.data())
+    @DIFFERENTIAL
+    def test_permuted_from_lists_get_their_own_rewrite(self, data):
+        """Equal canonical keys, different FROM order: the memo hands
+        each query the rewrite it would get without the memo."""
+        catalog, nodes, builder, n = data.draw(worlds())
+        query = data.draw(queries(n))
+        twin = replace(
+            query, relations=tuple(data.draw(st.permutations(query.relations)))
+        )
+        assert twin.key() == query.key()
+        cache = OfferCache()
+        for node in nodes:
+            agent = SellerAgent(catalog.local(node), builder, offer_cache=cache)
+            local = agent.local
+            for asked in (query, twin, query):
+                got = agent._rewrite(asked)
+                expected = rewrite_query(
+                    asked, local.schemas, local.schemes, local.held
+                )
+                if expected is None:
+                    assert got is None
+                    continue
+                assert got.query.sql() == expected.query.sql()
+                assert dict(got.coverage) == dict(expected.coverage)
+                assert got.dropped == expected.dropped
+                assert got.exact_projections == expected.exact_projections
+
+    def test_equal_queries_with_other_literal_text_get_their_own_rewrite(self):
+        # ``cat = 1`` and ``cat = 1.0`` are equal as SPJQuery objects but
+        # render, and so rewrite, to different SQL.
+        as_int, as_float = chain_query(2, 1), chain_query(2, 1.0)
+        assert as_int == as_float and as_int.sql() != as_float.sql()
+        catalog, nodes, _est, _model, builder = make_federation()
+        cache = OfferCache()
+        for node in nodes:
+            agent = SellerAgent(catalog.local(node), builder, offer_cache=cache)
+            for asked in (as_int, as_float):
+                got = agent._rewrite(asked)
+                local = agent.local
+                expected = rewrite_query(
+                    asked, local.schemas, local.schemes, local.held
+                )
+                assert (got and got.query.sql()) == (
+                    expected and expected.query.sql()
+                )
+
+    def test_replicas_share_one_rewrite(self, monkeypatch):
+        import repro.trading.seller as seller_module
+
+        catalog, nodes, _est, _model, builder = make_federation(
+            nodes=4, n_relations=2, fragments=1, replicas=4
+        )
+        calls = []
+        real = seller_module.rewrite_query
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(seller_module, "rewrite_query", counted)
+        rfb = RequestForBids("client", (chain_query(2), chain_query(1)))
+        cache = OfferCache()
+        for node in nodes:
+            SellerAgent(
+                catalog.local(node), builder, offer_cache=cache
+            ).prepare_offers(rfb)
+        # Four replicas, two queries, one rewrite each; client holds
+        # nothing and never rewrites.
+        assert len(calls) == 2
+        calls.clear()
+        for node in nodes:
+            SellerAgent(
+                catalog.local(node), builder, use_offer_cache=False
+            ).prepare_offers(rfb)
+        assert len(calls) == 8
+
+    def test_empty_seller_never_rewrites(self, monkeypatch):
+        import repro.trading.seller as seller_module
+
+        def forbidden(*_args):
+            raise AssertionError("an empty seller rewrote a query")
+
+        monkeypatch.setattr(seller_module, "rewrite_query", forbidden)
+        catalog, _nodes, _est, _model, builder = make_federation()
+        agent = SellerAgent(catalog.local("client"), builder)
+        rfb = RequestForBids("client", (chain_query(3), chain_query(1)))
+        assert agent.prepare_offers(rfb) == ([], 0.0)
+
+
+class TestSkipEdgeCases:
+    def test_view_only_seller_still_offers_its_view(self):
+        catalog, _nodes, _est, _model, builder = make_federation()
+        query = chain_query(2)
+        local = replace(
+            catalog.local("client"),
+            views=(MaterializedView("v", query, row_count=50),),
+        )
+        offers, work = SellerAgent(local, builder).prepare_offers(
+            RequestForBids("client", (query,))
+        )
+        assert len(offers) == 1
+        assert offers[0].query == query and offers[0].exact_projections
+        assert work == SECONDS_PER_VIEW_MATCH
+
+    def test_subcontracting_seller_buys_what_it_lacks(self):
+        # R0 lives on node0 only, R1 on node1 only.
+        catalog, nodes, _est, _model, builder = make_federation(
+            nodes=4, n_relations=2, fragments=1, replicas=1
+        )
+        local = catalog.local("node0")
+        assert set(local.held) == {"R0"}
+        peers = {
+            node: SellerAgent(catalog.local(node), builder)
+            for node in nodes
+            if node != "node0"
+        }
+        agent = SellerAgent(
+            local, builder, subcontractor=Subcontractor(peers)
+        )
+        offers, _ = agent.prepare_offers(
+            RequestForBids("client", (chain_query(2),))
+        )
+        assert frozenset({"r0", "r1"}) in {o.aliases for o in offers}
+
+    def test_subcontracting_empty_seller_still_asks_its_subcontractor(self):
+        catalog, nodes, _est, _model, builder = make_federation()
+        asked = []
+
+        class Recording(Subcontractor):
+            def augment(self, seller, query, rewritten, ctx):
+                asked.append((query, rewritten))
+                return super().augment(seller, query, rewritten, ctx)
+
+        peers = {
+            node: SellerAgent(catalog.local(node), builder)
+            for node in nodes
+            if node != "client"
+        }
+        rfb = RequestForBids("client", (chain_query(2), chain_query(1)))
+        local = catalog.local("client")
+        offers, work = SellerAgent(
+            local, builder, subcontractor=Recording(peers)
+        ).prepare_offers(rfb)
+        assert asked == [(q, None) for q in rfb.queries]
+        assert fingerprint(offers, work) == fingerprint(
+            *naive_agent(
+                local, builder, subcontractor=Subcontractor(peers)
+            ).prepare_offers(rfb)
+        )
+
+    @pytest.mark.parametrize("with_view", [False, True])
+    def test_traced_empty_seller_records_as_before(self, with_view):
+        from repro.trading.commodity import offer_id_scope
+
+        catalog, _nodes, _est, _model, builder = make_federation()
+        rfb = RequestForBids(
+            "client", (chain_query(2), chain_query(1)), round_number=1
+        )
+        local = catalog.local("client")
+        if with_view:
+            local = replace(
+                local,
+                views=(MaterializedView("v", rfb.queries[0], row_count=50),),
+            )
+        rows = []
+        for agent in (
+            SellerAgent(local, builder),
+            naive_agent(local, builder),
+        ):
+            agent.tracer = Tracer()
+            with offer_id_scope():
+                agent.prepare_offers(rfb)
+            rows.append(record_rows(agent.tracer))
+        assert rows[0] == rows[1]
+        assert rows[0][0][2] == "seller.prepare_offers"
