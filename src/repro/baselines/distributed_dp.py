@@ -239,18 +239,10 @@ class DistributedDPOptimizer:
                     )
                 )
 
-        for node in sorted(self.catalog.nodes):
-            try:
-                network.register(node, _sink)
-            except ValueError:
-                network.unregister(node)
-                network.register(node, _sink)
-        for node in sorted(self.catalog.nodes):
-            if node == self.buyer:
-                continue
-            network.send(
-                Message(MessageKind.STATS_REQUEST, self.buyer, node, None)
-            )
+        nodes = sorted(self.catalog.nodes)
+        for node in nodes:
+            network.register(node, _sink, replace=True)
+        network.broadcast(self.buyer, nodes, MessageKind.STATS_REQUEST, None)
         network.run()
 
     def _access_paths(

@@ -61,7 +61,8 @@ class FaultInjector:
     """Seeded, deterministic interception of network deliveries.
 
     Install with :meth:`Network.install_faults`; the network then routes
-    every send through :meth:`intercept`, which returns the transit
+    every message it sends through :meth:`intercept` (a broadcast's
+    recipients one by one, in order), which returns the transit
     delays of the surviving copies (an empty list means the message was
     lost).  Returning *delays* rather than arrival instants matters:
     the network schedules each copy at ``depart + delay`` and stamps

@@ -37,7 +37,7 @@ class MessageKind(Enum):
 NO_CAUSE = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """One network message.
 
@@ -45,12 +45,16 @@ class Message:
     control messages default to the cost model's control message size.
 
     ``mid``/``parent`` are the causal-tracing stamps: when a tracer is
-    attached, :meth:`~repro.net.simulator.Network.send` assigns ``mid``
-    from the session's monotone Lamport counter and ``parent`` from the
-    message (or timeout) whose handler triggered this send.  Both stay
-    ``-1`` (:data:`NO_CAUSE`) with tracing off — the stamps exist only
-    so the causal DAG (:mod:`repro.obs.causal`) can be rebuilt from
-    trace records; no protocol logic may branch on them.
+    attached, the network assigns ``mid`` from the session's monotone
+    Lamport counter and ``parent`` from the message (or timeout) whose
+    handler triggered this send, as plain attribute writes when the
+    message departs.  Both stay ``-1`` (:data:`NO_CAUSE`) with tracing
+    off — the stamps exist only so the causal DAG
+    (:mod:`repro.obs.causal`) can be rebuilt from trace records; no
+    protocol logic may branch on them.  Nothing else mutates a message
+    once sent, and nothing hashes one; it is not frozen because a
+    frozen dataclass costs three times as much to build, and a wide
+    trade builds thousands.
     """
 
     kind: MessageKind

@@ -14,6 +14,18 @@ Two layers:
   complete :class:`NetworkStats`.  An optional fault injector (see
   :mod:`repro.faults`) intercepts deliveries; with none installed the
   delivery path is byte-identical to a fault-free fabric.
+
+A *departure* is what one :meth:`Network.send` or
+:meth:`Network.broadcast` call puts on the wire: messages of one kind
+and size, leaving together.  Without faults they all arrive at the same
+instant, so a departure is **one** heap entry carrying its message
+list, delivered in order by :meth:`Network._deliver` — a broadcast to
+512 sellers costs one event, not 512, and pops exactly where 512
+per-message entries scheduled back to back would.  Under a fault
+injector every surviving copy of every message is its own entry at its
+own instant.  With a tracer attached, the causal stamps
+(``mid``/``parent``) are plain attribute writes on each message as it
+departs.
 """
 
 from __future__ import annotations
@@ -21,7 +33,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.cost.model import CostModel
 from repro.net.clock import Clock, TimerHandle
@@ -93,7 +106,9 @@ class Simulator(Clock):
         processed and more remain — the budget is checked before each
         handler runs, so at most ``max_events`` handlers ever execute.
         Cancelled timers are skipped without charging the budget or
-        advancing the clock.
+        advancing the clock.  The budget counts heap entries: a
+        :class:`Network` departure that delivers a whole fanout is one
+        event, however many recipients it reaches.
         """
         processed = 0
         while self._queue:
@@ -145,10 +160,11 @@ class NetworkStats:
     duplicated: int = 0
     retried: int = 0
 
-    def record(self, message: Message, size: int) -> None:
-        self.messages += 1
-        self.bytes += size
-        self.by_kind[message.kind] = self.by_kind.get(message.kind, 0) + 1
+    def record(self, kind: MessageKind, size: int, count: int = 1) -> None:
+        """Count *count* messages of *kind*, *size* bytes each."""
+        self.messages += count
+        self.bytes += size * count
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + count
 
     def count(self, kind: MessageKind) -> int:
         return self.by_kind.get(kind, 0)
@@ -207,10 +223,12 @@ class Network:
 
     Fault interception: :meth:`install_faults` plugs a
     :class:`~repro.faults.injector.FaultInjector` into the delivery path.
-    Every send is still *recorded* (it left the sender), but the injector
-    decides the delivery times — zero, one, or several — modelling drops,
-    duplicates, delay spikes, and crashed recipients.  With no injector
-    installed the path is exactly the historical one.
+    Every message is still *recorded* (it left the sender), but the
+    injector decides its delivery times — zero, one, or several —
+    modelling drops, duplicates, delay spikes, and crashed recipients.
+    :meth:`send` and :meth:`broadcast` share one dispatch and one
+    delivery method with or without an injector; only the number of
+    heap entries per departure differs.
     """
 
     def __init__(
@@ -233,15 +251,30 @@ class Network:
         # handler bodies whose order both clocks pin down identically
         # (the (when, seq) tie-break), so assigned ids are deterministic.
         self._next_causal_id = 0
+        # Undelivered messages riding in a shared heap entry beyond its
+        # first: added to the clock's entry count, the pending gauge
+        # still counts deliveries, as when every message had an entry.
+        self._riders = 0
 
     # -- membership --------------------------------------------------------
-    def register(self, node: str, handler: Handler) -> None:
-        if node in self._handlers:
+    def register(
+        self, node: str, handler: Handler, *, replace: bool = False
+    ) -> None:
+        """Deliver *node*'s messages to *handler*.
+
+        Registering a node twice raises ``ValueError`` unless
+        ``replace=True``, which swaps the handler in place.
+        """
+        if not replace and node in self._handlers:
             raise ValueError(f"node {node!r} already registered")
         self._handlers[node] = handler
 
     def unregister(self, node: str) -> None:
         self._handlers.pop(node, None)
+
+    def __contains__(self, node: object) -> bool:
+        """Whether *node* has a handler (``node in network``)."""
+        return node in self._handlers
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -288,16 +321,19 @@ class Network:
         return finish
 
     # -- messaging -----------------------------------------------------------
-    def message_delay(self, message: Message) -> float:
-        size = (
-            message.size_bytes
-            if message.size_bytes is not None
+    def _size(self, size_bytes: int | None) -> int:
+        return (
+            size_bytes
+            if size_bytes is not None
             else self.cost_model.network.control_message_bytes
         )
-        return (
-            self.cost_model.network.latency
-            + size / self.cost_model.network.bandwidth
-        )
+
+    def _transit(self, size: int) -> float:
+        network = self.cost_model.network
+        return network.latency + size / network.bandwidth
+
+    def message_delay(self, message: Message) -> float:
+        return self._transit(self._size(message.size_bytes))
 
     def send(self, message: Message, earliest: float | None = None) -> None:
         """Deliver *message* to its recipient's handler.
@@ -308,66 +344,123 @@ class Network:
         """
         if message.recipient not in self._handlers:
             raise KeyError(f"unknown recipient {message.recipient!r}")
-        size = (
-            message.size_bytes
-            if message.size_bytes is not None
-            else self.cost_model.network.control_message_bytes
-        )
-        self.stats.record(message, size)
-        if self.tracer.enabled:
-            # Stamp the causal metadata: a fresh Lamport id plus the
-            # causal parent — the message (or timeout) whose handler is
-            # sending.  Message is a frozen dataclass; ``frozen`` only
-            # overrides ``__setattr__``, so the object-level setter
-            # mutates the stamps in place without a copy.
-            object.__setattr__(message, "mid", self.next_causal_id())
-            object.__setattr__(message, "parent", self.tracer.cause)
-            self.tracer.event(
-                "msg.send", "net", site=message.sender,
-                **message.trace_args(size),
+        self._dispatch((message,), self._size(message.size_bytes), earliest)
+
+    def broadcast(
+        self,
+        sender: str,
+        recipients: Iterable[str],
+        kind: MessageKind,
+        payload,
+        *,
+        size_bytes: int | None = None,
+        earliest: float | None = None,
+    ) -> int:
+        """Send *payload* to every recipient but *sender*, as one departure.
+
+        Equivalent to one :meth:`send` per recipient, in order, except
+        that every recipient is checked before anything is recorded (an
+        unknown one raises ``KeyError`` with the stats untouched) and
+        that the fanout is one heap entry.  Returns how many were sent.
+        """
+        targets = [node for node in recipients if node != sender]
+        handlers = self._handlers
+        for node in targets:
+            if node not in handlers:
+                raise KeyError(f"unknown recipient {node!r}")
+        if targets:
+            self._dispatch(
+                [
+                    Message(kind, sender, node, payload, size_bytes)
+                    for node in targets
+                ],
+                self._size(size_bytes),
+                earliest,
             )
-        depart = max(self.now, earliest if earliest is not None else self.now)
-        if self.fault_injector is None:
-            delay = self.message_delay(message)
-            self._schedule_delivery(message, depart + delay, lat=delay)
-            return
-        # The injector hands back each surviving copy's *transit delay*;
-        # scheduling at ``depart + lat`` and stamping that same ``lat``
-        # keeps the simulator's and the critical-path replay's float
-        # arithmetic identical, so the replay is bitwise-exact.
-        for copy, lat in enumerate(
-            self.fault_injector.intercept(self, message, depart)
-        ):
-            self._schedule_delivery(
-                message, depart + lat, copy=copy, lat=lat
+        return len(targets)
+
+    def _dispatch(
+        self,
+        messages: Sequence[Message],
+        size: int,
+        earliest: float | None,
+    ) -> None:
+        """Record and schedule one departure: *messages* of one kind,
+        *size* bytes each, leaving no earlier than *earliest*."""
+        self.stats.record(messages[0].kind, size, len(messages))
+        now = self.now
+        depart = now if earliest is None else max(now, earliest)
+        tracer = self.tracer
+        injector = self.fault_injector
+        if tracer.enabled or injector is not None:
+            # Message by message: stamping every message before
+            # intercepting any would reorder a traced fault run's
+            # records.
+            for message in messages:
+                if tracer.enabled:
+                    # A fresh Lamport id plus the causal parent — the
+                    # message (or timeout) whose handler is sending.
+                    message.mid = self.next_causal_id()
+                    message.parent = tracer.cause
+                    tracer.event(
+                        "msg.send", "net", site=message.sender,
+                        **message.trace_args(size),
+                    )
+                if injector is None:
+                    continue
+                # The injector hands back each surviving copy's *transit
+                # delay*; scheduling at ``depart + lat`` and stamping
+                # that same ``lat`` keeps the simulator's and the
+                # critical-path replay's float arithmetic identical, so
+                # the replay is bitwise-exact.  Copies are never merged
+                # into shared entries: two copies can share an instant
+                # while a later-scheduled entry sorts between them.
+                for copy, lat in enumerate(
+                    injector.intercept(self, message, depart)
+                ):
+                    self.sim.schedule_at(
+                        depart + lat,
+                        partial(self._deliver, (message,), copy, lat),
+                    )
+        if injector is None:
+            # Same kind, same size, same departure: every message
+            # arrives at the same instant, so one entry carries them
+            # all.  Consecutive per-message entries at one instant
+            # would have popped as one contiguous block anyway.
+            delay = self._transit(size)
+            self._riders += len(messages) - 1
+            self.sim.schedule_at(
+                depart + delay, partial(self._deliver, messages, 0, delay)
             )
 
-    def _schedule_delivery(
-        self,
-        message: Message,
-        deliver_at: float,
-        copy: int = 0,
-        lat: float = 0.0,
+    def _deliver(
+        self, messages: Sequence[Message], copy: int, lat: float
     ) -> None:
-        def _deliver() -> None:
-            tracer = self.tracer
-            if tracer.enabled:
-                # ``lat`` is the transit delay this copy experienced —
-                # deterministic (cost model + seeded fault draws), which
-                # is what lets the causal critical path be reconstructed
-                # identically under wall-clock serving, where recorded
-                # timestamps are not simulated times.
-                tracer.event(
-                    "msg.deliver", "net", site=message.recipient,
-                    kind=message.kind.value, sender=message.sender,
-                    mid=message.mid, copy=copy, lat=lat,
-                )
-            handler = self._handlers.get(message.recipient)
+        """Hand every message of one heap entry to its recipient's
+        handler, in order; a recipient unregistered since the send is
+        skipped.  ``lat`` is the transit delay the entry experienced —
+        deterministic (cost model + seeded fault draws), which is what
+        lets the causal critical path be reconstructed identically under
+        wall-clock serving, where recorded timestamps are not simulated
+        times."""
+        self._riders -= len(messages) - 1
+        handlers = self._handlers
+        tracer = self.tracer
+        if not tracer.enabled:
+            for message in messages:
+                handler = handlers.get(message.recipient)
+                if handler is not None:
+                    handler(self, message)
+            return
+        for message in messages:
+            tracer.event(
+                "msg.deliver", "net", site=message.recipient,
+                kind=message.kind.value, sender=message.sender,
+                mid=message.mid, copy=copy, lat=lat,
+            )
+            handler = handlers.get(message.recipient)
             if handler is None:
-                return
-            if not tracer.enabled:
-                handler(self, message)
-                return
+                continue
             # Every send issued from inside the handler is causally a
             # child of this delivery; restore the previous cause so
             # nested synchronous deliveries (there are none today, but
@@ -379,32 +472,11 @@ class Network:
             finally:
                 tracer.cause = prior
 
-        self.sim.schedule_at(deliver_at, _deliver)
-
-    def broadcast(
-        self,
-        sender: str,
-        recipients: Mapping[str, Handler] | list[str],
-        kind: MessageKind,
-        payload,
-        earliest: float | None = None,
-    ) -> int:
-        """Send one message per recipient; returns how many were sent."""
-        count = 0
-        for recipient in recipients:
-            if recipient == sender:
-                continue
-            self.send(
-                Message(kind, sender, recipient, payload), earliest=earliest
-            )
-            count += 1
-        return count
-
     def run(self) -> float:
         if self.tracer.enabled:
             # Sampled with the accurate accessor: cancelled (lazily
-            # deleted) timer entries are excluded from the gauge.
-            self.tracer.gauge(
-                "sim.pending_events", self.sim.pending_events()
-            )
+            # deleted) timer entries are excluded from the gauge, and
+            # each message of a shared delivery entry counts as one.
+            pending = self.sim.pending_events() + self._riders
+            self.tracer.gauge("sim.pending_events", pending)
         return self.sim.run_until_idle()

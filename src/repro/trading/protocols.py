@@ -159,8 +159,9 @@ class NegotiationProtocol:
                     offer=offer.offer_id, seller=offer.seller,
                     request=offer.request_key,
                 )
-        for seller in sorted(rejected_sellers):
-            network.send(Message(MessageKind.REJECT, buyer, seller, None))
+        network.broadcast(
+            buyer, sorted(rejected_sellers), MessageKind.REJECT, None
+        )
         network.run()
         won_by_seller: dict[str, set[str]] = {}
         lost_by_seller: dict[str, set[str]] = {}
@@ -191,10 +192,8 @@ class NegotiationProtocol:
             return None
 
         for node in list(sellers) + [buyer]:
-            try:
+            if node not in network:
                 network.register(node, _sink)
-            except ValueError:
-                pass  # already registered
 
 
 class BiddingProtocol(NegotiationProtocol):
@@ -267,6 +266,9 @@ class BiddingProtocol(NegotiationProtocol):
         collected: list[Offer] = []
         expected = sorted(node for node in sellers if node != buyer)
         responded: set[str] = set()
+        # Contacted sellers not yet heard from; with a deadline, the
+        # round closes early when this empties.
+        silent = set(expected) if self.timeout is not None else None
         state = {"closed": False, "timer": None, "timeouts": 0, "retries": 0}
 
         def seller_handler(net: Network, message: Message) -> None:
@@ -313,11 +315,15 @@ class BiddingProtocol(NegotiationProtocol):
                 responded.add(message.sender)
             else:
                 return
-            if self.timeout is not None and responded >= set(expected):
-                # Everyone answered: close early, cancel the deadline.
-                state["closed"] = True
-                if state["timer"] is not None:
-                    state["timer"].cancel()
+            if silent is not None:
+                silent.discard(message.sender)
+                if not silent:
+                    # Everyone answered: close early, cancel the deadline.
+                    state["closed"] = True
+                    if state["timer"] is not None:
+                        state["timer"].cancel()
+
+        size = rfb_size(network, rfb)
 
         def issue(attempt: int) -> None:
             deadline = None
@@ -327,16 +333,9 @@ class BiddingProtocol(NegotiationProtocol):
                     deadline, on_deadline
                 )
             if not network.tracer.enabled:
-                for node in expected:
-                    network.send(
-                        Message(
-                            MessageKind.RFB,
-                            buyer,
-                            node,
-                            rfb,
-                            size_bytes=rfb_size(network, rfb),
-                        )
-                    )
+                network.broadcast(
+                    buyer, expected, MessageKind.RFB, rfb, size_bytes=size
+                )
                 return
             with network.tracer.span(
                 "rfb.fanout", "trading", site=buyer,
@@ -344,16 +343,9 @@ class BiddingProtocol(NegotiationProtocol):
                 round=rfb.round_number,
                 **({"deadline": deadline} if deadline is not None else {}),
             ):
-                for node in expected:
-                    network.send(
-                        Message(
-                            MessageKind.RFB,
-                            buyer,
-                            node,
-                            rfb,
-                            size_bytes=rfb_size(network, rfb),
-                        )
-                    )
+                network.broadcast(
+                    buyer, expected, MessageKind.RFB, rfb, size_bytes=size
+                )
 
         def on_deadline() -> None:
             state["timeouts"] += 1
@@ -410,10 +402,8 @@ class BiddingProtocol(NegotiationProtocol):
     @staticmethod
     def _swap_handlers(network, buyer, sellers, buyer_handler, seller_handler):
         for node in sellers:
-            network.unregister(node)
-            network.register(node, seller_handler)
-        network.unregister(buyer)
-        network.register(buyer, buyer_handler)
+            network.register(node, seller_handler, replace=True)
+        network.register(buyer, buyer_handler, replace=True)
 
 
 class VickreyAuctionProtocol(BiddingProtocol):

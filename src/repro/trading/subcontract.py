@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind
 from repro.net.simulator import Network
 from repro.sql.query import SPJQuery
 from repro.sql.rewrite import RewrittenQuery
@@ -145,14 +145,9 @@ class Subcontractor:
                 agent.subcontractor = nested
             collected.extend(peer_offers)
             if self.network is not None:
-                self.network.stats.record(
-                    Message(MessageKind.RFB, seller.node, node, None),
-                    self.network.cost_model.network.control_message_bytes,
-                )
-                self.network.stats.record(
-                    Message(MessageKind.OFFER, node, seller.node, None),
-                    self.network.cost_model.network.control_message_bytes,
-                )
+                size = self.network.cost_model.network.control_message_bytes
+                self.network.stats.record(MessageKind.RFB, size)
+                self.network.stats.record(MessageKind.OFFER, size)
                 self.network.compute(node, peer_work)
             work += peer_work / max(1, len(peers))  # peers work in parallel
 

@@ -1,9 +1,14 @@
 """Unit tests for the discrete-event network simulator."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cost import CostModel, NetworkParameters
+from repro.faults import CrashWindow, FaultInjector, FaultPlan
 from repro.net import AsyncClock, Message, MessageKind, Network, Simulator
+from repro.obs.export import jsonl_lines
+from repro.obs.tracer import Tracer
 
 
 class TestSimulator:
@@ -177,6 +182,48 @@ class TestNetwork:
         net.unregister("a")
         net.register("a", lambda n, m: None)  # no error
         assert "a" in net.nodes
+
+    def test_register_replace_and_membership(self, net):
+        seen = []
+        assert "a" not in net
+        net.register("a", lambda n, m: seen.append("old"))
+        assert "a" in net
+        net.register("a", lambda n, m: seen.append("new"), replace=True)
+        net.register("b", lambda n, m: None)
+        net.send(Message(MessageKind.RFB, "b", "a", None))
+        net.run()
+        assert seen == ["new"]
+        assert net.nodes == ("a", "b")
+
+    def test_broadcast_is_one_departure(self, net):
+        for node in ("a", "b", "c", "d"):
+            net.register(node, lambda n, m: None)
+        count = net.broadcast(
+            "a", ["b", "c", "d"], MessageKind.RFB, None, size_bytes=500
+        )
+        assert count == 3
+        assert net.sim.pending == 1  # one heap entry for the fanout
+        assert net.stats.messages == 3
+        assert net.stats.bytes == 1500
+        assert net.stats.by_kind == {MessageKind.RFB: 3}
+
+    def test_broadcast_unknown_recipient_leaves_stats_untouched(self, net):
+        net.register("a", lambda n, m: None)
+        net.register("b", lambda n, m: None)
+        with pytest.raises(KeyError):
+            net.broadcast("a", ["b", "zzz"], MessageKind.RFB, None)
+        assert net.stats == type(net.stats)()
+        assert net.sim.pending == 0
+
+    def test_endless_rebroadcast_exhausts_event_budget(self, net):
+        def echo(n, m):
+            n.broadcast(m.recipient, ["a", "b", "c"], MessageKind.DATA, None)
+
+        for node in ("a", "b", "c"):
+            net.register(node, echo)
+        net.broadcast("a", ["b", "c"], MessageKind.DATA, None)
+        with pytest.raises(RuntimeError, match="did not quiesce"):
+            net.sim.run_until_idle(max_events=50)
 
 
 class TestCancellableTimers:
@@ -422,3 +469,213 @@ class TestAsyncClock:
         )
         network.run()
         assert len(received) == 1
+
+
+# ----------------------------------------------------------------------
+# Broadcast vs a per-recipient send loop: one departure, same behaviour
+# ----------------------------------------------------------------------
+DIFFERENTIAL = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+NODES = ("n0", "n1", "n2", "n3", "n4")
+ROLES = ("sink", "reply", "relay", "unregister")
+FANOUT_KINDS = (MessageKind.RFB, MessageKind.STATS_REQUEST, MessageKind.REJECT)
+
+
+def loop_fanout(net, sender, recipients, kind, payload, size_bytes, earliest):
+    """A fanout as one ``send`` per recipient, in order."""
+    count = 0
+    for node in recipients:
+        if node == sender:
+            continue
+        net.send(
+            Message(kind, sender, node, payload, size_bytes),
+            earliest=earliest,
+        )
+        count += 1
+    return count
+
+
+def broadcast_fanout(net, sender, recipients, kind, payload, size_bytes, earliest):
+    return net.broadcast(
+        sender, recipients, kind, payload,
+        size_bytes=size_bytes, earliest=earliest,
+    )
+
+
+_sizes = st.one_of(st.none(), st.integers(1, 10**6))
+_times = st.floats(0.0, 0.05, allow_nan=False)
+
+
+@st.composite
+def _fault_plans(draw):
+    choice = draw(st.sampled_from(("none", "null", "faulty")))
+    if choice == "none":
+        return None
+    if choice == "null":
+        return FaultPlan(seed=draw(st.integers(0, 99)))
+    crashes = {}
+    for node in draw(st.lists(st.sampled_from(NODES), max_size=2, unique=True)):
+        crash_at = draw(_times)
+        length = draw(st.one_of(st.none(), st.floats(0.001, 0.05)))
+        crashes[node] = (
+            CrashWindow(crash_at, None if length is None else crash_at + length),
+        )
+    return FaultPlan.uniform(
+        drop_rate=draw(st.floats(0.0, 0.4)),
+        duplicate_rate=draw(st.floats(0.0, 0.5)),
+        delay_spike_rate=draw(st.floats(0.0, 0.5)),
+        delay_spike_seconds=draw(_times),
+        crashes=crashes,
+        seed=draw(st.integers(0, 99)),
+    )
+
+
+@st.composite
+def _scenarios(draw):
+    return {
+        "roles": {node: draw(st.sampled_from(ROLES)) for node in NODES},
+        "work": {node: draw(_times) for node in NODES},
+        "victims": {node: draw(st.sampled_from(NODES)) for node in NODES},
+        "relay_to": {
+            node: draw(st.lists(st.sampled_from(NODES), max_size=5))
+            for node in NODES
+        },
+        "relay_size": draw(_sizes),
+        "fanouts": draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(NODES),
+                    st.lists(st.sampled_from(NODES), max_size=7),
+                    st.sampled_from(FANOUT_KINDS),
+                    _sizes,
+                    st.one_of(st.none(), _times),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        "traced": draw(st.booleans()),
+        "plan": draw(_fault_plans()),
+    }
+
+
+def _run_twin(scenario, fanout):
+    """Drive one network through *scenario*, fanning out with *fanout*;
+    returns everything observable about the run."""
+    net = Network(
+        CostModel(
+            NetworkParameters(
+                latency=0.01, bandwidth=1e6, control_message_bytes=1000
+            )
+        )
+    )
+    tracer = Tracer() if scenario["traced"] else None
+    net.attach_tracer(tracer)
+    injector = None
+    if scenario["plan"] is not None:
+        injector = FaultInjector(scenario["plan"])
+        net.install_faults(injector)
+    log = []
+    seen: dict[tuple, int] = {}
+    counts = []
+
+    def handler(n, m):
+        me = m.recipient
+        key = (m.payload, me, m.mid)
+        seen[key] = seen.get(key, 0) + 1
+        log.append(
+            (n.now.hex(), me, m.kind.value, m.payload, m.mid, m.parent,
+             seen[key])
+        )
+        role = scenario["roles"][me]
+        if role == "reply" and m.kind is MessageKind.RFB and m.sender in n:
+            done = n.compute(me, scenario["work"][me])
+            n.send(
+                Message(MessageKind.OFFER, me, m.sender, f"{m.payload}<{me}"),
+                earliest=done,
+            )
+        elif role == "relay" and m.kind is MessageKind.STATS_REQUEST:
+            done = n.compute(me, scenario["work"][me])
+            targets = [node for node in scenario["relay_to"][me] if node in n]
+            counts.append(
+                fanout(
+                    n, me, targets, MessageKind.DATA, f"{m.payload}>{me}",
+                    scenario["relay_size"], done,
+                )
+            )
+        elif role == "unregister":
+            n.unregister(scenario["victims"][me])
+
+    for node in NODES:
+        net.register(node, handler)
+    for i, (sender, recipients, kind, size, earliest) in enumerate(
+        scenario["fanouts"]
+    ):
+        counts.append(fanout(net, sender, recipients, kind, f"f{i}", size, earliest))
+    net.run()
+    stats = net.stats
+    return {
+        "log": log,
+        "counts": counts,
+        "now": net.now.hex(),
+        "stats": (
+            stats.messages, stats.bytes, list(stats.by_kind.items()),
+            stats.dropped, stats.duplicated, stats.retried,
+        ),
+        "injections": None if injector is None else injector.log,
+        "jsonl": (
+            None
+            if tracer is None
+            else "\n".join(jsonl_lines(tracer.records)).encode()
+        ),
+    }
+
+
+class TestBroadcastDifferential:
+    """``broadcast`` behaves exactly like the per-recipient ``send`` loop
+    it replaced: same deliveries at the same instants in the same order,
+    same stats, same fault draws, same causal stamps and trace bytes."""
+
+    @given(scenario=_scenarios())
+    @DIFFERENTIAL
+    def test_broadcast_equals_send_loop(self, scenario):
+        expected = _run_twin(scenario, loop_fanout)
+        assert _run_twin(scenario, broadcast_fanout) == expected
+
+    def test_differential_reaches_every_path(self):
+        # A hand-built scenario that exercises replies, relays, an
+        # unregistration mid-fanout and every fault kind, so the
+        # property above is known to compare non-trivial runs.
+        scenario = {
+            "roles": {"n0": "sink", "n1": "reply", "n2": "relay",
+                      "n3": "unregister", "n4": "reply"},
+            "work": dict.fromkeys(NODES, 0.002),
+            "victims": dict.fromkeys(NODES, "n4"),
+            "relay_to": dict.fromkeys(NODES, ["n0", "n1", "n2", "n4"]),
+            "relay_size": None,
+            "fanouts": [
+                ("n0", ["n0", "n1", "n3", "n4", "n2"], MessageKind.RFB,
+                 None, None),
+                ("n0", ["n2", "n1"], MessageKind.STATS_REQUEST, 2000, 0.01),
+            ],
+            "traced": True,
+            "plan": FaultPlan.uniform(
+                drop_rate=0.2, duplicate_rate=0.5, delay_spike_rate=0.3,
+                delay_spike_seconds=0.01,
+                crashes={"n1": (CrashWindow(0.02, 0.03),)}, seed=3,
+            ),
+        }
+        expected = _run_twin(scenario, loop_fanout)
+        assert _run_twin(scenario, broadcast_fanout) == expected
+        assert expected["counts"][:2] == [4, 2]
+        assert expected["injections"].intercepted > 6
+        assert expected["jsonl"]
+        untraced = dict(scenario, traced=False, plan=None)
+        expected = _run_twin(untraced, loop_fanout)
+        assert _run_twin(untraced, broadcast_fanout) == expected
+        kinds = {entry[2] for entry in expected["log"]}
+        assert {"rfb", "offer", "stats_request", "data"} <= kinds
