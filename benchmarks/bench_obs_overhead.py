@@ -146,7 +146,6 @@ def causal_case(repeats: int) -> dict:
     :class:`~repro.obs.critpath.CriticalPath` (which the replay itself
     cross-checks: phases must tile the session's simulated time).
     """
-    from repro.bench.harness import run_qt_faulty
     from repro.faults import FaultPlan
     from repro.obs import CausalDag, CriticalPath
 
@@ -160,7 +159,7 @@ def causal_case(repeats: int) -> dict:
         world = build_world(nodes=nodes, n_relations=max(joins, 3), seed=7)
         query = chain_query(joins)
         start = time.perf_counter()
-        measurement = run_qt_faulty(world, query, plan, tracer=tracer)
+        measurement = run_qt(world, query, fault_plan=plan, tracer=tracer)
         elapsed = time.perf_counter() - start
         assert measurement.found, "faulty benchmark trade must find a plan"
         if tracer is not None:
@@ -176,7 +175,7 @@ def causal_case(repeats: int) -> dict:
     commodity._offer_ids = itertools.count(1)
     world = build_world(nodes=nodes, n_relations=max(joins, 3), seed=7)
     tracer = Tracer()
-    run_qt_faulty(world, chain_query(joins), plan, tracer=tracer)
+    run_qt(world, chain_query(joins), fault_plan=plan, tracer=tracer)
     records = list(tracer.records)
     start = time.perf_counter()
     dag = CausalDag.from_records(records)

@@ -11,7 +11,7 @@ fast tier-1 variant in ``tests/test_faults.py`` covers one config.
 import itertools
 
 import repro.trading.commodity as commodity
-from repro.bench.harness import build_world, run_qt, run_qt_faulty
+from repro.bench.harness import build_world, run_qt
 from repro.faults import FaultPlan
 from repro.workload import chain_query
 
@@ -32,8 +32,8 @@ def _measure(world, query, mode, faulty: bool, tracer=None):
     # runs mint identical ids and explain() strings are comparable.
     commodity._offer_ids = itertools.count(1)
     if faulty:
-        m = run_qt_faulty(
-            world, query, FaultPlan(), timeout=None,
+        m = run_qt(
+            world, query, fault_plan=FaultPlan(), timeout=None,
             mode=mode, offer_cache=None, use_offer_cache=False,
             tracer=tracer,
         )

@@ -14,17 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.baselines import DistributedDPOptimizer, MariposaBroker
 from repro.bench.harness import (
     BUYER,
-    Measurement,
     World,
     build_world,
     format_table,
     run_distdp,
     run_distidp,
-    run_mariposa,
     run_qt,
-    run_qt_faulty,
+    trade,
 )
 from repro.faults import FaultPlan
 from repro.cost import CardinalityEstimator, CostModel, NodeCapabilities
@@ -271,13 +270,13 @@ def e5_message_accounting(
          "stats", "total"],
     )
 
-    def count_run(label, runner):
-        network = Network(world.model)
-        result = runner(network)
-        stats = network.stats
-        # Rendered from the ``by_type`` breakdown (keyed by kind name);
-        # it is derived from the same ``record`` path as ``messages``,
-        # so the row always sums to the total column.
+    def count_run(label, result):
+        # Each run has a fresh network, so its result's message delta is
+        # the network's whole count.  Rendered from the ``by_type``
+        # breakdown (keyed by kind name); it is derived from the same
+        # ``record`` path as ``messages``, so the row always sums to the
+        # total column.
+        stats = result.messages
         by_type = stats.by_type
         table.rows.append(
             [
@@ -292,36 +291,20 @@ def e5_message_accounting(
                 stats.messages,
             ]
         )
-        return result
 
-    def qt_runner(network):
-        sellers = world.seller_agents()
-        trader = QueryTrader(
-            BUYER,
-            sellers,
-            network,
-            BuyerPlanGenerator(world.builder, BUYER),
-        )
-        return trader.optimize(query)
-
-    def distdp_runner(network):
-        from repro.baselines import DistributedDPOptimizer
-
-        return DistributedDPOptimizer(
-            world.catalog, world.builder, BUYER
-        ).optimize(query, network=network)
-
-    def mariposa_runner(network):
-        from repro.baselines import MariposaBroker
-
-        sellers = world.seller_agents()
-        return MariposaBroker(BUYER, sellers, network, world.builder).optimize(
-            query
-        )
-
-    count_run("qt-dp", qt_runner)
-    count_run("dist-dp", distdp_runner)
-    count_run("mariposa", mariposa_runner)
+    count_run("qt-dp", trade(world, query))
+    count_run(
+        "dist-dp",
+        DistributedDPOptimizer(world.catalog, world.builder, BUYER).optimize(
+            query, network=Network(world.model)
+        ),
+    )
+    count_run(
+        "mariposa",
+        MariposaBroker(
+            BUYER, world.seller_agents(), Network(world.model), world.builder
+        ).optimize(query),
+    )
     return table
 
 
@@ -343,15 +326,7 @@ def e6_iteration_convergence(
         nodes=nodes, n_relations=3, fragments=4, replicas=2, seed=seed
     )
     query = chain_query(3, selection_cat=3)
-    network = Network(world.model)
-    trader = QueryTrader(
-        BUYER,
-        world.seller_agents(offer_fragment_granularity=False),
-        network,
-        BuyerPlanGenerator(world.builder, BUYER),
-        max_iterations=6,
-    )
-    result = trader.optimize(query)
+    result = trade(world, query, offer_fragment_granularity=False)
     table = ExperimentTable(
         "E6",
         "Convergence: best plan value per trading iteration",
@@ -522,18 +497,15 @@ def e9_materialized_views(
             scenario.stats, scenario.catalog.schemas
         )
         model = CostModel()
-        builder = PlanBuilder(
-            estimator, model, schemes=scenario.catalog.schemes
+        world = World(
+            catalog=scenario.catalog,
+            nodes=scenario.nodes,
+            builder=PlanBuilder(
+                estimator, model, schemes=scenario.catalog.schemes
+            ),
+            model=model,
         )
-        network = Network(model)
-        sellers = {
-            node: SellerAgent(scenario.catalog.local(node), builder)
-            for node in scenario.nodes
-        }
-        trader = QueryTrader(
-            BUYER, sellers, network, BuyerPlanGenerator(builder, BUYER)
-        )
-        result = trader.optimize(scenario.manager_query())
+        result = trade(world, scenario.manager_query())
         table.rows.append(
             [
                 "views on" if with_views else "views off",
@@ -762,8 +734,9 @@ def e10_plan_generator_variants(
 # ----------------------------------------------------------------------
 # E-F1..E-F3: fault injection & resilience (unreliable federations)
 # ----------------------------------------------------------------------
-def _fault_world(nodes: int, seed: int) -> World:
-    """A replicated federation for the fault experiments.
+def _fault_setup(nodes: int, seed: int):
+    """A replicated federation for the fault experiments, their query,
+    and its fault-free trade (the baseline cost and contract winners).
 
     Seller offer caches are disabled so every row re-prices from scratch
     — repeated runs at different fault rates stay directly comparable.
@@ -772,19 +745,24 @@ def _fault_world(nodes: int, seed: int) -> World:
         nodes=nodes, n_relations=4, fragments=3, replicas=2, seed=seed
     )
     world.offer_cache = None
-    return world
+    query = chain_query(3, selection_cat=3)
+    return world, query, trade(world, query, use_offer_cache=False)
 
 
-def _fault_free_reference(world: World, query):
-    """Fault-free QT run: the baseline cost plus its contract winners."""
-    network = Network(world.model)
-    trader = QueryTrader(
-        BUYER,
-        world.seller_agents(use_offer_cache=False),
-        network,
-        BuyerPlanGenerator(world.builder, BUYER),
+def _faulty_run(world: World, query, base, plan: FaultPlan, timeout: float):
+    """One resilient QT run under *plan*, degradation against *base*."""
+    return run_qt(
+        world,
+        query,
+        fault_plan=plan,
+        timeout=timeout,
+        baseline_cost=base.plan_cost,
+        use_offer_cache=False,
     )
-    return trader.optimize(query)
+
+
+def _degradation(m) -> str:
+    return f"{m.degradation:+.1%}" if m.degradation is not None else "-"
 
 
 def ef1_drop_rate_sweep(
@@ -799,9 +777,7 @@ def ef1_drop_rate_sweep(
     redundancy (replicas bid independently) keeps plan cost flat while
     the deadline machinery converts losses into bounded waiting.
     """
-    world = _fault_world(nodes, seed)
-    query = chain_query(3, selection_cat=3)
-    base = _fault_free_reference(world, query)
+    world, query, base = _fault_setup(nodes, seed)
     table = ExperimentTable(
         "E-F1",
         "Message drop-rate sweep (deadline 0.05s, retries 2)",
@@ -818,19 +794,12 @@ def ef1_drop_rate_sweep(
     )
     for rate in drop_rates:
         plan = FaultPlan.uniform(drop_rate=rate, seed=seed)
-        m = run_qt_faulty(
-            world,
-            query,
-            plan,
-            timeout=0.05,
-            baseline_cost=base.plan_cost,
-            use_offer_cache=False,
-        )
+        m = _faulty_run(world, query, base, plan, timeout=0.05)
         table.rows.append(
             [
                 f"{rate:.2f}",
                 f"{m.plan_cost:.4f}" if m.found else "-",
-                f"{m.degradation:+.1%}" if m.degradation is not None else "-",
+                _degradation(m),
                 f"{m.optimization_time:.4f}",
                 m.messages,
                 m.dropped,
@@ -854,9 +823,7 @@ def ef2_crash_sweep(
     2-way replication the degradation stays small until the crash count
     eats into the last replica of a fragment.
     """
-    world = _fault_world(nodes, seed)
-    query = chain_query(3, selection_cat=3)
-    base = _fault_free_reference(world, query)
+    world, query, base = _fault_setup(nodes, seed)
     winners = sorted({c.seller for c in base.contracts})
     placements = list(world.catalog.placements())
     relations = {ref.name for ref in query.relations}
@@ -885,19 +852,12 @@ def ef2_crash_sweep(
         plan = FaultPlan(seed=seed)
         for node in crashed:
             plan = plan.with_crash(node, crash_at=1e6)
-        m = run_qt_faulty(
-            world,
-            query,
-            plan,
-            timeout=0.05,
-            baseline_cost=base.plan_cost,
-            use_offer_cache=False,
-        )
+        m = _faulty_run(world, query, base, plan, timeout=0.05)
         table.rows.append(
             [
                 count,
                 f"{m.plan_cost:.4f}" if m.found else "-",
-                f"{m.degradation:+.1%}" if m.degradation is not None else "-",
+                _degradation(m),
                 f"{m.optimization_time:.4f}",
                 m.messages,
                 m.renegotiations,
@@ -920,9 +880,7 @@ def ef3_timeout_tuning(
     iterations); a loose one waits out every lost reply.  The sweet spot
     sits just above the honest round-trip + pricing time.
     """
-    world = _fault_world(nodes, seed)
-    query = chain_query(3, selection_cat=3)
-    base = _fault_free_reference(world, query)
+    world, query, base = _fault_setup(nodes, seed)
     table = ExperimentTable(
         "E-F3",
         f"Round-deadline tuning at drop rate {drop_rate:.2f}",
@@ -938,19 +896,12 @@ def ef3_timeout_tuning(
     )
     for timeout in timeouts:
         plan = FaultPlan.uniform(drop_rate=drop_rate, seed=seed)
-        m = run_qt_faulty(
-            world,
-            query,
-            plan,
-            timeout=timeout,
-            baseline_cost=base.plan_cost,
-            use_offer_cache=False,
-        )
+        m = _faulty_run(world, query, base, plan, timeout=timeout)
         table.rows.append(
             [
                 f"{timeout:.2f}",
                 f"{m.plan_cost:.4f}" if m.found else "-",
-                f"{m.degradation:+.1%}" if m.degradation is not None else "-",
+                _degradation(m),
                 f"{m.optimization_time:.4f}",
                 m.messages,
                 m.timeouts,
@@ -975,6 +926,14 @@ def e14_mqo_overlap(
     — the paper's "query answers as commodities" pushed across session
     boundaries.  The table contrasts aggregate plan cost, payments, and
     cache behavior against per-session trading over the same workload.
+
+    The cache-hit and intern-hit columns are not run-invariant: they
+    most likely depend on which of the broker's ``max_concurrent=4``
+    session threads prices a shared commodity first, so any other
+    thread in the process can move them.  Measured on 2 CPUs: 121 / 97
+    standalone, serially after E1–E13, and in a fresh forked child;
+    123 / 109 in some ``repro experiment --workers 2`` pool workers.
+    Plan cost, payments and epochs do not move (docs/MQO.md).
     """
     from repro.broker import AdmissionConfig, BrokerService
     from repro.broker.sessions import SessionSpec

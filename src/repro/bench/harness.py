@@ -1,8 +1,10 @@
 """Shared experiment plumbing: build federations, run optimizers, format
 the tables the paper-style experiment suite reports.
 
-Every runner returns a :class:`Measurement` with the three quantities the
-paper's evaluation revolves around:
+:func:`trade` is the one place a library trade is assembled (the CLI
+and the experiments call it too).  Every ``run_*`` runner returns a
+:class:`Measurement` with the three quantities the paper's evaluation
+revolves around:
 
 * ``optimization_time`` — *simulated* seconds spent optimizing (message
   delays + per-node compute charged from enumerated-plan counts; fully
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.baselines import (
+    BaselineResult,
     DistributedDPOptimizer,
     DistributedIDPOptimizer,
     MariposaBroker,
@@ -47,14 +50,16 @@ from repro.trading import (
     QueryTrader,
     SellerAgent,
     SellerStrategy,
+    Subcontractor,
+    TradingResult,
 )
 
 __all__ = [
     "World",
     "Measurement",
     "build_world",
+    "trade",
     "run_qt",
-    "run_qt_faulty",
     "run_distdp",
     "run_distidp",
     "run_mariposa",
@@ -168,35 +173,49 @@ class Measurement:
         ]
 
 
-def run_qt(
+def trade(
     world: World,
     query: SPJQuery,
     mode: str = "dp",
     protocol: NegotiationProtocol | None = None,
     strategy_factory: Callable[[str], SellerStrategy] | None = None,
     buyer_strategy: BuyerStrategy | None = None,
-    label: str | None = None,
     valuation=None,
     max_iterations: int = 6,
     subcontracting: bool = False,
-    workers: int | None = None,
     tracer=None,
+    fault_plan: FaultPlan | None = None,
+    timeout: float | None = 0.05,
+    max_retries: int = 2,
+    backoff: float = 2.0,
+    policy: RenegotiationPolicy | None = None,
+    baseline_cost: float | None = None,
     **agent_kwargs,
-) -> Measurement:
-    """Run the QT optimizer over a fresh network; return its measurement.
+) -> TradingResult:
+    """Assemble one library trade over a fresh network and run it.
 
     Pass a :class:`repro.obs.Tracer` as *tracer* to record the
     negotiation (the trader wires it through every layer).
-    """
-    # *workers* is accepted and ignored: the frozen benchmark
-    # (benchmarks/e2e/trade.py::_parallel_speedup) still passes it.  It
-    # goes when a benchmark PR drops that function and the two
-    # ``parallel.*`` per-layer metrics.
-    from repro.trading import Subcontractor
 
+    With a *fault_plan* the negotiation runs behind a
+    :class:`FaultInjector` built from the plan, the bidding protocol
+    gets round deadlines (*timeout*, re-issued up to *max_retries*
+    times with *backoff*) unless *protocol* is given, and a
+    :class:`ResilientTrader` renegotiates contracts whose winners crash
+    before delivery.  ``baseline_cost`` (the fault-free plan cost) makes
+    the result report plan degradation.
+    """
     network = Network(world.model)
     if tracer is not None:
         network.attach_tracer(tracer)
+    injector = None
+    if fault_plan is not None:
+        injector = FaultInjector(fault_plan)
+        network.install_faults(injector)
+        if protocol is None:
+            protocol = BiddingProtocol(
+                timeout=timeout, max_retries=max_retries, backoff=backoff
+            )
     sellers = world.seller_agents(strategy_factory, **agent_kwargs)
     if subcontracting:
         for node, agent in sellers.items():
@@ -217,133 +236,94 @@ def run_qt(
         valuation=valuation,
         max_iterations=max_iterations,
     )
-    result = trader.optimize(query)
-    name = label or (
-        f"qt-{mode}" + (f"+{protocol.name}" if protocol else "")
+    if injector is None:
+        return trader.optimize(query)
+    resilient = ResilientTrader(
+        trader, injector, policy=policy, fault_free_cost=baseline_cost
     )
-    return Measurement(
+    return resilient.optimize(query)
+
+
+def _measure(
+    name: str, result: TradingResult | BaselineResult
+) -> Measurement:
+    """The reportable quantities of one run of any optimizer."""
+    measurement = Measurement(
         optimizer=name,
         found=result.found,
         plan_cost=result.plan_cost if result.found else float("inf"),
         optimization_time=result.optimization_time,
         messages=result.messages.messages,
-        iterations=result.iterations,
-        offers=result.offers_considered,
-        payments=result.total_payment,
-        cache_hits=result.cache.hits,
-        cache_misses=result.cache.misses,
-        plan_explain=result.best.plan.explain() if result.found else None,
     )
+    if isinstance(result, TradingResult):
+        stats = result.messages
+        summary = result.resilience
+        measurement.iterations = result.iterations
+        measurement.offers = result.offers_considered
+        measurement.payments = result.total_payment
+        measurement.cache_hits = result.cache.hits
+        measurement.cache_misses = result.cache.misses
+        measurement.dropped = stats.dropped
+        measurement.duplicated = stats.duplicated
+        measurement.retried = stats.retried
+        measurement.timeouts = summary.timeouts_fired
+        measurement.renegotiations = summary.renegotiations
+        measurement.degradation = summary.degradation
+        if result.found:
+            measurement.plan_explain = result.best.plan.explain()
+    return measurement
 
 
-def run_qt_faulty(
+def run_qt(
     world: World,
     query: SPJQuery,
-    fault_plan: FaultPlan,
-    timeout: float | None = 0.05,
-    max_retries: int = 2,
-    backoff: float = 2.0,
     mode: str = "dp",
+    protocol: NegotiationProtocol | None = None,
     label: str | None = None,
-    baseline_cost: float | None = None,
-    policy: RenegotiationPolicy | None = None,
-    max_iterations: int = 6,
-    tracer=None,
-    **agent_kwargs,
+    workers: int | None = None,
+    fault_plan: FaultPlan | None = None,
+    **trade_kwargs,
 ) -> Measurement:
-    """Run QT under *fault_plan* with the full resilience stack engaged.
+    """Run :func:`trade` and return its measurement.
 
-    The negotiation runs behind a :class:`FaultInjector` built from the
-    plan, the bidding protocol gets round deadlines (*timeout*, with
-    exponential-backoff re-issue), and a :class:`ResilientTrader`
-    renegotiates contracts whose winners crash before delivery.  Pass
-    ``baseline_cost`` (the fault-free plan cost) to have the measurement
-    report plan degradation.
+    Every keyword of :func:`trade` passes through, *fault_plan*
+    included.
     """
-    network = Network(world.model)
-    if tracer is not None:
-        network.attach_tracer(tracer)
-    injector = FaultInjector(fault_plan)
-    network.install_faults(injector)
-    sellers = world.seller_agents(None, **agent_kwargs)
-    protocol = BiddingProtocol(
-        timeout=timeout, max_retries=max_retries, backoff=backoff
+    # *workers* is accepted and ignored: the frozen benchmark
+    # (benchmarks/e2e/trade.py::_parallel_speedup) still passes it.  It
+    # goes when a benchmark PR drops that function and the two
+    # ``parallel.*`` per-layer metrics.
+    result = trade(
+        world, query, mode, protocol, fault_plan=fault_plan, **trade_kwargs
     )
-    plangen = BuyerPlanGenerator(world.builder, BUYER, mode=mode)
-    trader = QueryTrader(
-        BUYER,
-        sellers,
-        network,
-        plangen,
-        protocol=protocol,
-        max_iterations=max_iterations,
-    )
-    resilient = ResilientTrader(
-        trader, injector, policy=policy, fault_free_cost=baseline_cost
-    )
-    result = resilient.optimize(query)
-    summary = result.resilience
-    return Measurement(
-        optimizer=label or f"qt-{mode}+faults",
-        found=result.found,
-        plan_cost=result.plan_cost if result.found else float("inf"),
-        optimization_time=result.optimization_time,
-        messages=result.messages.messages,
-        iterations=result.iterations,
-        offers=result.offers_considered,
-        payments=result.total_payment,
-        cache_hits=result.cache.hits,
-        cache_misses=result.cache.misses,
-        dropped=result.messages.dropped,
-        duplicated=result.messages.duplicated,
-        retried=result.messages.retried,
-        timeouts=summary.timeouts_fired,
-        renegotiations=summary.renegotiations,
-        degradation=summary.degradation,
-        plan_explain=result.best.plan.explain() if result.found else None,
-    )
+    if not label:
+        label = f"qt-{mode}"
+        if fault_plan is not None:
+            label += "+faults"
+        elif protocol:
+            label += f"+{protocol.name}"
+    return _measure(label, result)
 
 
 def run_distdp(world: World, query: SPJQuery) -> Measurement:
-    network = Network(world.model)
     opt = DistributedDPOptimizer(world.catalog, world.builder, BUYER)
-    result = opt.optimize(query, network=network)
-    return Measurement(
-        optimizer=opt.name,
-        found=result.found,
-        plan_cost=result.plan_cost if result.found else float("inf"),
-        optimization_time=result.optimization_time,
-        messages=result.messages.messages,
-    )
+    result = opt.optimize(query, network=Network(world.model))
+    return _measure(opt.name, result)
 
 
 def run_distidp(
     world: World, query: SPJQuery, k: int = 2, m: int = 5
 ) -> Measurement:
-    network = Network(world.model)
     opt = DistributedIDPOptimizer(world.catalog, world.builder, BUYER, k=k, m=m)
-    result = opt.optimize(query, network=network)
-    return Measurement(
-        optimizer=opt.name,
-        found=result.found,
-        plan_cost=result.plan_cost if result.found else float("inf"),
-        optimization_time=result.optimization_time,
-        messages=result.messages.messages,
-    )
+    result = opt.optimize(query, network=Network(world.model))
+    return _measure(opt.name, result)
 
 
 def run_mariposa(world: World, query: SPJQuery) -> Measurement:
     network = Network(world.model)
     sellers = world.seller_agents()
     broker = MariposaBroker(BUYER, sellers, network, world.builder)
-    result = broker.optimize(query)
-    return Measurement(
-        optimizer=broker.name,
-        found=result.found,
-        plan_cost=result.plan_cost if result.found else float("inf"),
-        optimization_time=result.optimization_time,
-        messages=result.messages.messages,
-    )
+    return _measure(broker.name, broker.optimize(query))
 
 
 def format_table(

@@ -120,6 +120,11 @@ class OrderedBiddingProtocol(BiddingProtocol):
 #: scale without unbounded growth in a long-lived daemon.
 _MAX_LATENCIES = 4096
 
+#: Upper bounds (milliseconds) of the ``broker.session_latency_ms``
+#: histogram's buckets; the registry's default buckets are in simulated
+#: seconds.
+_LATENCY_MS_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+
 #: Retention defaults: how many terminal sessions stay addressable, and
 #: for how long after they finish.  A traced session holds ~256 KB, so
 #: the cap is what bounds a long-lived daemon's memory.
@@ -348,7 +353,8 @@ class BrokerService:
         latency = session.latency
         if latency is not None and state != SHED:
             self.metrics.observe(
-                "broker.session_latency_ms", latency * 1e3
+                "broker.session_latency_ms", latency * 1e3,
+                _LATENCY_MS_BUCKETS,
             )
             with self._lock:
                 self._latencies.append(latency)

@@ -25,22 +25,18 @@ import threading
 import time
 from typing import Callable, Sequence
 
-from repro.bench import build_world
 from repro.bench import experiments as experiments_module
 from repro.bench.experiments import ExperimentTable
+from repro.bench.harness import build_world, trade
 from repro.cost import CardinalityEstimator, CostModel
 from repro.execution import FederationData, PlanExecutor, evaluate_query
 from repro.execution.tables import materialize_catalog
-from repro.faults import FaultInjector, FaultPlan, ResilientTrader
+from repro.faults import FaultPlan
 from repro.net import Network
 from repro.optimizer import PlanBuilder
 from repro.sql import ParseError, parse_query
-from repro.trading import (
-    BiddingProtocol,
-    BuyerPlanGenerator,
-    QueryTrader,
-    SellerAgent,
-)
+from repro.trading import BuyerPlanGenerator, QueryTrader, SellerAgent
+from repro.trading.commodity import offer_id_scope
 from repro.workload import build_telecom_scenario
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -213,9 +209,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="run the whole suite")
     experiment.add_argument(
         "--workers", type=int, default=1,
-        help="run several experiments in parallel worker processes; "
-             "tables are printed in id order and identical to a serial "
-             "run",
+        help="run several experiments in parallel worker processes, "
+             "one experiment per task; tables print in id order.  All "
+             "tables but E14's are identical to a serial run; E14's "
+             "cache-hit and intern-hit columns depend on which broker "
+             "session thread prices first and can differ (its plan "
+             "cost, payments and epochs do not)",
     )
 
     report = sub.add_parser(
@@ -335,19 +334,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _negotiate(args: argparse.Namespace, tracer=None):
     """Build a federation from ``args`` and run one negotiation.
 
-    Returns ``(result, injector, world, query, exit_code)``; on a
-    setup error ``result`` is ``None`` and ``exit_code`` explains why.
-    Shared by ``trade`` and ``explain`` so both see the identical
-    federation.
+    Returns ``(result, world, query, exit_code)``; on a setup error
+    ``result`` is ``None`` and ``exit_code`` explains why.  Shared by
+    ``trade`` and ``explain`` so both see the identical federation.
     """
-    import itertools
-
-    import repro.trading.commodity as commodity_mod
-
-    # Offer ids come from a module-global counter; reseed it so repeated
-    # same-seed invocations mint identical ids and traces/ledgers are
-    # byte-comparable across runs and worker counts.
-    commodity_mod._offer_ids = itertools.count(1)
     world = build_world(
         nodes=args.nodes,
         n_relations=args.relations,
@@ -360,37 +350,27 @@ def _negotiate(args: argparse.Namespace, tracer=None):
         query = parse_query(args.sql, world.catalog.schemas)
     except ParseError as exc:
         print(f"cannot parse query: {exc}", file=sys.stderr)
-        return None, None, None, None, 2
-    network = Network(world.model)
-    if tracer is not None:
-        network.attach_tracer(tracer)
-    injector = None
+        return None, None, None, 2
+    fault_plan = None
     if args.fault_plan:
         try:
             fault_plan = FaultPlan.from_file(args.fault_plan)
         except (OSError, ValueError) as exc:
             print(f"cannot load fault plan: {exc}", file=sys.stderr)
-            return None, None, None, None, 2
-        injector = FaultInjector(fault_plan)
-        network.install_faults(injector)
-    if injector:
-        protocol = BiddingProtocol(
-            timeout=args.timeout, max_retries=args.max_retries
+            return None, None, None, 2
+    # A fresh offer-id counter, so repeated same-seed invocations mint
+    # identical ids and traces/ledgers are byte-comparable across runs.
+    with offer_id_scope():
+        result = trade(
+            world,
+            query,
+            mode=args.plangen,
+            tracer=tracer,
+            fault_plan=fault_plan,
+            timeout=args.timeout,
+            max_retries=args.max_retries,
         )
-    else:
-        protocol = BiddingProtocol()
-    trader = QueryTrader(
-        "client",
-        world.seller_agents(),
-        network,
-        BuyerPlanGenerator(world.builder, "client", mode=args.plangen),
-        protocol=protocol,
-    )
-    if injector is not None:
-        result = ResilientTrader(trader, injector).optimize(query)
-    else:
-        result = trader.optimize(query)
-    return result, injector, world, query, 0
+    return result, world, query, 0
 
 
 def _cmd_trade(args: argparse.Namespace) -> int:
@@ -399,7 +379,7 @@ def _cmd_trade(args: argparse.Namespace) -> int:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    result, injector, world, query, code = _negotiate(args, tracer)
+    result, world, query, code = _negotiate(args, tracer)
     if result is None:
         return code
     if tracer is not None:
@@ -414,7 +394,7 @@ def _cmd_trade(args: argparse.Namespace) -> int:
         f"{result.optimization_time:.4f}s simulated optimization time"
     )
     print(f"messages by type: {result.messages.describe_types()}")
-    if injector is not None:
+    if args.fault_plan:
         stats = result.messages
         print(
             f"faults: {stats.dropped} dropped, {stats.duplicated} duplicated, "
@@ -461,7 +441,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, explain
 
     tracer = Tracer()
-    result, _injector, _world, _query, code = _negotiate(args, tracer)
+    result, _world, _query, code = _negotiate(args, tracer)
     if result is None:
         return code
     if result.ledger is None:

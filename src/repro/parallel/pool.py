@@ -1,14 +1,15 @@
-"""Shared process-pool plumbing for the sweep and experiment runners.
+"""Shared process-pool plumbing for the experiment runner.
 
 One :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
 created lazily and reused for the life of the process, so pool start-up
-is paid once rather than per sweep.
+is paid once rather than per call.
 
 The ``fork`` start method is preferred (cheap worker start, inherited
 module state); platforms without it fall back to the default context.
-Workers must nevertheless treat inherited globals as stale — e.g. the
-offer-id counter is explicitly reseeded per job (see
-:func:`repro.parallel.sweeps.run_job`).
+Workers must nevertheless treat inherited globals as stale: the
+offer-id counter, for one, continues from the parent's value, so a job
+that needs reproducible ids mints them inside its own
+:func:`~repro.trading.commodity.offer_id_scope`.
 
 Lifecycle hygiene: every pool is shut down at interpreter exit
 (:func:`shutdown_pools` is idempotent and registered with ``atexit``
@@ -35,10 +36,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 __all__ = [
     "POOL_UNAVAILABLE",
-    "available_cpus",
     "get_pool",
     "warm_pool",
-    "run_chunks",
     "shutdown_pools",
 ]
 
@@ -48,11 +47,6 @@ POOL_UNAVAILABLE = (BrokenProcessPool, OSError, pickle.PicklingError)
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 _WARMED: set[int] = set()
-
-
-def available_cpus() -> int:
-    """Usable CPU count (1 when undetectable)."""
-    return os.cpu_count() or 1
 
 
 def _context():
@@ -105,18 +99,6 @@ def warm_pool(workers: int, hold: float = 0.02) -> ProcessPoolExecutor:
             future.result()
         _WARMED.add(workers)
     return pool
-
-
-def run_chunks(workers: int, fn, chunk_args: list[tuple]) -> list:
-    """Submit ``fn(*args)`` per chunk; results in submission order.
-
-    One pool task per cost-balanced chunk, so scheduling overhead is
-    paid per chunk rather than per item.  Exceptions propagate to the
-    caller.
-    """
-    pool = get_pool(workers)
-    futures = [pool.submit(fn, *args) for args in chunk_args]
-    return [future.result() for future in futures]
 
 
 def shutdown_pools() -> None:

@@ -47,11 +47,9 @@ _scoped_offer_ids: contextvars.ContextVar[Iterator[int] | None] = (
 def next_offer_id() -> int:
     """Mint the next offer id from the active counter.
 
-    Indirect on purpose: tests and the sweep runner reseed
-    ``commodity._offer_ids`` for reproducible ids, so callers must read
-    the global at call time rather than bind the counter object once.
     A context-local counter installed via :func:`offer_id_scope` takes
-    precedence (broker sessions).
+    precedence (broker sessions, CLI trades); otherwise the id comes
+    from the module-global counter.
     """
     scoped = _scoped_offer_ids.get()
     if scoped is not None:

@@ -33,6 +33,7 @@ from repro.broker import (
 )
 from repro.broker.server import MAX_BODY_BYTES, _Handler
 from repro.broker.sessions import RUNNING, BrokerSession, SessionSpec
+from repro.obs.live import parse_prometheus_text
 from repro.trading.commodity import offer_id_scope
 from repro.workload import BurstConfig, build_bursty_workload
 from tests.conftest import watch_plan_rounds
@@ -342,6 +343,37 @@ class TestRouter:
         assert status == 200 and payload["completed_total"] == 1
         status, payload = router.dispatch("GET", "/healthz")
         assert status == 200 and payload["status"] == "ok"
+
+    def test_session_latency_lands_in_a_millisecond_bucket(
+        self, service, arrivals
+    ):
+        """The latency histogram is in milliseconds: a ~15 ms session is
+        counted in a finite bucket by ``/metrics`` and
+        ``/metrics/prom`` alike, not in +Inf."""
+        service._negotiate = lambda session: time.sleep(0.015)
+        router = Router(service)
+        body = json.dumps({"sql": arrivals[0].query.sql()}).encode()
+        status, payload = router.dispatch("POST", "/sessions", body)
+        assert status == 202
+        assert service.get(payload["session"]).wait(timeout=60.0)
+        status, metrics = router.dispatch("GET", "/metrics")
+        histogram = metrics["registry"]["histograms"][
+            "broker.session_latency_ms"
+        ]["-"]
+        assert status == 200 and histogram["count"] == 1
+        assert 15.0 <= histogram["sum"] < histogram["boundaries"][-1]
+        assert histogram["counts"][-1] == 0  # the +Inf overflow bucket
+        status, text = router.dispatch("GET", "/metrics/prom")
+        assert status == 200
+        buckets = {
+            dict(labels)["le"]: value
+            for labels, value in parse_prometheus_text(text)
+            .series("repro_broker_session_latency_ms_bucket")
+            .items()
+        }
+        finite = [le for le, count in buckets.items() if le != "+Inf"]
+        assert buckets["+Inf"] == 1
+        assert any(buckets[le] == 1 for le in finite)
 
     def test_result_is_409_until_terminal(self, service, arrivals):
         # Register a session that never runs: the result and explain

@@ -20,7 +20,7 @@ import math
 import pytest
 
 import repro.trading.commodity as commodity
-from repro.bench.harness import BUYER, build_world, run_qt, run_qt_faulty
+from repro.bench.harness import BUYER, build_world, run_qt
 from repro.faults import FaultInjector, FaultPlan, ResilientTrader
 from repro.net import Network
 from repro.obs import (
@@ -46,8 +46,8 @@ def _traced(world, query, *, plan=None, timeout=None):
     commodity._offer_ids = itertools.count(1)
     tracer = Tracer()
     if plan is not None:
-        m = run_qt_faulty(
-            world, query, plan, timeout=timeout, mode="dp",
+        m = run_qt(
+            world, query, fault_plan=plan, timeout=timeout, mode="dp",
             offer_cache=None, use_offer_cache=False, tracer=tracer,
         )
     else:
@@ -166,8 +166,8 @@ class TestCriticalPath:
         plan = FaultPlan(seed=7).with_crash(victim, crash_at=1e6)
         tracer = Tracer()
         commodity._offer_ids = itertools.count(1)
-        m = run_qt_faulty(
-            world, query, plan, timeout=0.05, mode="dp",
+        m = run_qt(
+            world, query, fault_plan=plan, timeout=0.05, mode="dp",
             offer_cache=None, use_offer_cache=False, tracer=tracer,
         )
         assert m.found and m.renegotiations >= 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.parallel import shutdown_pools
 
 
 class TestTrade:
@@ -103,6 +104,20 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert code == 0
         assert "[E9]" in out
+
+    def test_workers_print_the_serial_bytes(self, capsys):
+        """Whole experiments farmed out to two worker processes print
+        the same bytes, in id order, as one process running them in
+        turn."""
+        ids = ["E3", "E5", "E-F1"]
+        try:
+            assert main(["experiment", *ids, "--workers", "2"]) == 0
+            pooled = capsys.readouterr()
+        finally:
+            shutdown_pools()
+        assert pooled.err == ""  # the pool ran; no serial fallback
+        assert main(["experiment", *ids]) == 0
+        assert pooled.out == capsys.readouterr().out
 
     def test_registry_complete(self):
         expected = {f"E{i}" for i in range(1, 15)}

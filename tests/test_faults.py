@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 import repro.trading.commodity as commodity
-from repro.bench.harness import BUYER, build_world, run_qt, run_qt_faulty
+from repro.bench.harness import BUYER, build_world, run_qt
 from repro.execution import FederationData, PlanExecutor, evaluate_query
 from repro.faults import (
     ANY,
@@ -239,8 +239,8 @@ class TestZeroFaultEquivalence:
             small_world, query, offer_cache=None, use_offer_cache=False
         )
         commodity._offer_ids = itertools.count(1)
-        nulled = run_qt_faulty(
-            small_world, query, FaultPlan(), timeout=None,
+        nulled = run_qt(
+            small_world, query, fault_plan=FaultPlan(), timeout=None,
             offer_cache=None, use_offer_cache=False,
         )
         assert (plain.plan_cost, plain.optimization_time, plain.messages,
@@ -319,9 +319,9 @@ class TestFaultyNegotiation:
         query = chain_query(3, selection_cat=3)
         clean = _trade(small_world, query)
         commodity._offer_ids = itertools.count(1)
-        m = run_qt_faulty(
+        m = run_qt(
             small_world, query,
-            FaultPlan.uniform(drop_rate=0.1, seed=11),
+            fault_plan=FaultPlan.uniform(drop_rate=0.1, seed=11),
             timeout=0.05, baseline_cost=clean.plan_cost,
             offer_cache=None, use_offer_cache=False,
         )

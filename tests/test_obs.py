@@ -18,7 +18,7 @@ import json
 import pytest
 
 import repro.trading.commodity as commodity
-from repro.bench.harness import build_world, run_qt, run_qt_faulty
+from repro.bench.harness import build_world, run_qt
 from repro.faults import FaultPlan, LinkFaults
 from repro.net import MessageKind, Network
 from repro.net.simulator import Simulator
@@ -259,7 +259,7 @@ def test_faulty_run_emits_fault_events():
         seed=11,
     )
     tracer = Tracer()
-    m = run_qt_faulty(world, chain_query(3), plan, tracer=tracer)
+    m = run_qt(world, chain_query(3), fault_plan=plan, tracer=tracer)
     drops = [r for r in tracer.records if r.name == "fault.drop"]
     dups = [r for r in tracer.records if r.name == "fault.duplicate"]
     assert len(drops) == m.dropped

@@ -26,7 +26,7 @@ import pathlib
 import pytest
 
 import repro.trading.commodity as commodity
-from repro.bench.harness import build_world, run_qt_faulty
+from repro.bench.harness import build_world, run_qt
 from repro.faults import FaultPlan
 from repro.net import Network
 from repro.obs import (
@@ -119,8 +119,8 @@ def test_ledger_byte_identical_under_fault_plan():
                             replicas=2, seed=7)
         query = chain_query(3, selection_cat=3)
         tracer = Tracer()
-        run_qt_faulty(
-            world, query, FaultPlan.from_file(str(FAULT_PLAN)),
+        run_qt(
+            world, query, fault_plan=FaultPlan.from_file(str(FAULT_PLAN)),
             timeout=0.05, offer_cache=OfferCache(), tracer=tracer,
         )
         return NegotiationLedger.from_records(tracer.records)
