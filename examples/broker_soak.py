@@ -13,8 +13,9 @@ reading.
 
 With bounded retention (``BrokerService(retain_sessions=256)``) both
 columns are flat and an early session id answers ``410 Gone``; with
-every session retained the daemon grew ~256 KB per session and slowed
-by a fifth over 3,000.
+every session retained the daemon grew with each one (a finished
+session holds ~26 KB, ~87 KB if submitted with ``"trace": true``) and
+slowed by a fifth over 3,000.
 
 Run with::
 

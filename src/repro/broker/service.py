@@ -13,8 +13,10 @@ One :class:`BrokerService` owns
 * a :class:`~repro.obs.metrics.MetricsRegistry` with the serving
   gauges/counters plus a latency reservoir for p50/p99.
 
-Each session gets a *private* network + clock + tracer and runs inside
-its own :mod:`contextvars` context with a private offer-id counter
+Each session gets a *private* network + clock (+ tracer, when the
+submit asks for ``"trace": true`` or the broker runs with live
+observability) and runs inside its own :mod:`contextvars` context with
+a private offer-id counter
 (:func:`repro.trading.commodity.offer_id_scope`), so concurrent
 sessions mint exactly the offer-id sequence a serial run would —
 which is what makes broker plans (including their ``offer#N``
@@ -126,8 +128,8 @@ _MAX_LATENCIES = 4096
 _LATENCY_MS_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 
 #: Retention defaults: how many terminal sessions stay addressable, and
-#: for how long after they finish.  A traced session holds ~256 KB, so
-#: the cap is what bounds a long-lived daemon's memory.
+#: for how long after they finish.  A retained session holds ~26 KB, or
+#: ~87 KB traced, so the cap is what bounds a long-lived daemon's memory.
 RETAIN_SESSIONS = 256
 RETAIN_SECONDS = 600.0
 
@@ -261,7 +263,10 @@ class BrokerService:
             mode=mode,
             max_iterations=max_iterations,
             timeout=timeout,
-            trace=bool(payload.get("trace", True)),
+            # Only a trace somebody reads is recorded: the client's
+            # explain/critpath, or the live-obs hub, which folds every
+            # session's ledger and critical path into its registries.
+            trace=bool(payload.get("trace", self.live is not None)),
         )
 
     def submit(self, spec: SessionSpec) -> BrokerSession:
@@ -337,7 +342,12 @@ class BrokerService:
                 seed_offers=session.seed_offers,
             )
             session.result = trader.optimize(session.spec.query)
-            if self.live is not None and tracer is not None:
+            if tracer is None:
+                return
+            # A retained session keeps what /explain and /critpath
+            # serve, not the records they are derived from.
+            session.result.derive_trace()
+            if self.live is not None:
                 # Stash the session's trace for the live registries; the
                 # hub consumes (and frees) it at terminal bookkeeping.
                 session.live_records = list(tracer.records)
@@ -369,9 +379,15 @@ class BrokerService:
         """Enter *session* into the retention window and evict what has
         fallen out of it: the oldest-finished sessions beyond the count
         cap or past the age limit.  O(1) amortised, and it runs where a
-        session finishes, not where a client asks about one."""
+        session finishes, not where a client asks about one.
+
+        A shed session never ran and is not retained at all, so a flood
+        of shed submits cannot push real results out of the window."""
         horizon = session.finished_at - self.retain_seconds
         with self._lock:
+            if session.state == SHED:
+                self._sessions.pop(session.session_id, None)
+                return
             self._terminal.append(session)
             while (
                 len(self._terminal) > self.retain_sessions
@@ -399,7 +415,7 @@ class BrokerService:
                 410,
                 f"session {session_id} is gone: the broker keeps the last "
                 f"{self.retain_sessions} finished sessions for up to "
-                f"{self.retain_seconds:g} s",
+                f"{self.retain_seconds:g} s, and none that it shed",
             )
         raise BrokerError(404, f"unknown session {session_id!r}")
 
@@ -453,7 +469,7 @@ class BrokerService:
             raise BrokerError(
                 409,
                 f"session {session_id} has no decision ledger "
-                "(submitted with trace=false, or it never ran)",
+                '(it was submitted without "trace": true, or it never ran)',
             )
         return explain(session.result, subquery=subquery).to_dict()
 
@@ -470,7 +486,7 @@ class BrokerService:
             raise BrokerError(
                 409,
                 f"session {session_id} has no critical path "
-                "(submitted with trace=false, or it never ran)",
+                '(it was submitted without "trace": true, or it never ran)',
             )
         return telemetry.critical_path
 

@@ -64,7 +64,7 @@ class SessionSpec:
     mode: str = "dp"  # buyer plan generator: 'dp' | 'idp'
     max_iterations: int | None = None  # None -> the budget's round cap
     timeout: float | None = None  # per-round deadline (protocol)
-    trace: bool = True  # capture ledger/trace for `explain`
+    trace: bool = False  # capture ledger/trace for `explain`
 
 
 class BrokerSession:

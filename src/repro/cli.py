@@ -293,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--live-obs", action="store_true",
         help="enable live serving observability: per-site statistics "
              "registry, q-error observatory, SLO tracking, Prometheus "
-             "exposition at /metrics/prom, /sites, and /events "
+             "exposition at /metrics/prom, /sites, and /events; every "
+             "session is then traced unless it says \"trace\": false "
              "(see docs/OBSERVABILITY.md)",
     )
     serve.add_argument(
@@ -719,7 +720,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"  POST {server.url}/sessions          submit a query")
     print(f"  GET  {server.url}/sessions/<id>     session status")
     print(f"  GET  {server.url}/sessions/<id>/result")
-    print(f"  GET  {server.url}/sessions/<id>/explain")
+    print(f"  GET  {server.url}/sessions/<id>/explain"
+          + ("" if args.live_obs else '  (submitted with "trace": true)'))
     print(f"  GET  {server.url}/metrics", end="")
     if args.live_obs:
         print()

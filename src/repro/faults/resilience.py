@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 from repro.faults.injector import FaultInjector
 from repro.net.messages import Message, MessageKind
-from repro.obs.ledger import NegotiationLedger
-from repro.obs.metrics import RunTelemetry
 from repro.trading.buyer import BuyerPlanGenerator, CandidatePlan, PlanGenResult
 from repro.trading.contracts import Contract
 from repro.trading.trader import QueryTrader, ResilienceSummary, TradingResult
@@ -86,8 +84,8 @@ class ResilientTrader:
         start_stats = net.stats.snapshot()
         start_cache = trader._cache_stats()
         # Telemetry must span the *whole* resilient run (initial trade
-        # plus every renegotiation), so the per-trade telemetry the
-        # inner optimize() calls attach is recomputed from this mark.
+        # plus every renegotiation), so the records the inner optimize()
+        # calls attach are replaced by the slice from this mark.
         tracer = net.tracer
         mark = len(tracer.records)
 
@@ -137,12 +135,7 @@ class ResilientTrader:
         )
         result.resilience = summary
         if tracer.enabled:
-            result.telemetry = RunTelemetry.from_records(
-                tracer.records[mark:]
-            )
-            result.ledger = NegotiationLedger.from_records(
-                tracer.records[mark:]
-            )
+            result.attach_records(tracer.records[mark:])
         return result
 
     # ------------------------------------------------------------------

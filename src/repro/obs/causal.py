@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.obs.tracer import NO_PARENT, TraceRecord
@@ -174,9 +175,14 @@ class CausalDag:
         return dag
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def children(self) -> dict[int, list[int]]:
-        """Derived adjacency: parent id → child ids in id order."""
+        """Derived adjacency: parent id → child ids in id order.
+
+        Built once on first read: the nodes are final when
+        :meth:`_build` returns, and :meth:`replies` reads this once per
+        message, so rebuilding it per read made a replay quadratic.
+        """
         out: dict[int, list[int]] = {}
         for mid in sorted(self.nodes):
             parent = self.nodes[mid]["parent"]

@@ -168,9 +168,9 @@ class SiteStatsRegistry:
     ) -> None:
         """Fold one completed session's ledger + trace into the registry.
 
-        Untraced sessions (``trace=false``) contribute nothing — the
-        ledger only exists when tracing was on, which is the broker's
-        default.  *critical_path* is the session telemetry's
+        Untraced sessions contribute nothing — the ledger only exists
+        when tracing was on, which under live observability is the
+        broker's default.  *critical_path* is the session telemetry's
         decomposition dict (``RunTelemetry.critical_path``), when one
         was computed.
         """

@@ -116,19 +116,65 @@ class TradingResult:
     trace: list[IterationTrace] = field(default_factory=list)
     cache: CacheStats = field(default_factory=CacheStats)  # seller offer caches
     resilience: ResilienceSummary = field(default_factory=ResilienceSummary)
-    #: Per-run metrics (``None`` unless a tracer was attached to the
-    #: network — see :mod:`repro.obs`).
-    telemetry: RunTelemetry | None = None
-    #: The negotiation's decision ledger (``None`` unless traced) —
-    #: the causal RFB -> offer -> ranking -> award/void chain behind
-    #: this result; feed it to :func:`repro.obs.explain`.
-    ledger: NegotiationLedger | None = None
     #: True when the negotiation stopped because a compute budget ran
     #: out (offer budget hit, or the round cap fired with refined
     #: queries still pending) rather than by natural convergence.  Any
     #: plan present is still valid — just possibly improvable; the
     #: broker reports such sessions as ``degraded``.
     budget_exhausted: bool = False
+    #: The trade's trace records (``None`` unless traced), kept until
+    #: both :attr:`telemetry` and :attr:`ledger` have been derived.
+    _records: list | None = field(default=None, init=False, repr=False)
+    _telemetry: RunTelemetry | None = field(
+        default=None, init=False, repr=False
+    )
+    _ledger: NegotiationLedger | None = field(
+        default=None, init=False, repr=False
+    )
+
+    def attach_records(self, records: list) -> None:
+        """Keep *records* (this trade's slice of a trace) to derive
+        :attr:`telemetry` and :attr:`ledger` from when first read;
+        replaces anything derived from an earlier slice."""
+        self._records = records
+        self._telemetry = self._ledger = None
+
+    @property
+    def telemetry(self) -> RunTelemetry | None:
+        """Per-run metrics (``None`` unless a tracer was attached to the
+        network — see :mod:`repro.obs`), derived on first read."""
+        if self._telemetry is None:
+            records = self._records
+            if records is not None:
+                self._telemetry = RunTelemetry.from_records(records)
+                self._release_records()
+        return self._telemetry
+
+    @property
+    def ledger(self) -> NegotiationLedger | None:
+        """The negotiation's decision ledger (``None`` unless traced) —
+        the causal RFB -> offer -> ranking -> award/void chain behind
+        this result; feed it to :func:`repro.obs.explain`.  Derived on
+        first read."""
+        if self._ledger is None:
+            records = self._records
+            if records is not None:
+                self._ledger = NegotiationLedger.from_records(records)
+                self._release_records()
+        return self._ledger
+
+    def derive_trace(self) -> None:
+        """Derive :attr:`telemetry` and :attr:`ledger` now, dropping the
+        records — for a holder that keeps the result but not its trace
+        (derived, a trace weighs about half its records)."""
+        self.telemetry
+        self.ledger
+
+    def _release_records(self) -> None:
+        # Readers on other threads re-read the derived attribute after
+        # finding the slice gone, so dropping it here is safe.
+        if self._telemetry is not None and self._ledger is not None:
+            self._records = None
 
     @property
     def found(self) -> bool:
@@ -229,8 +275,7 @@ class QueryTrader:
                 offers=result.offers_considered,
                 found=result.found,
             )
-        result.telemetry = RunTelemetry.from_records(tracer.records[mark:])
-        result.ledger = NegotiationLedger.from_records(tracer.records[mark:])
+        result.attach_records(tracer.records[mark:])
         return result
 
     def _wire_tracer(self, tracer) -> None:

@@ -219,8 +219,8 @@ class TestBrokerDeterminism:
         asy = make_service(clock="async")
         try:
             sql = arrivals[0].query.sql()
-            sim_session = submit_sql(sim, sql)
-            asy_session = submit_sql(asy, sql)
+            sim_session = submit_sql(sim, sql, trace=True)
+            asy_session = submit_sql(asy, sql, trace=True)
             assert sim_session.wait(timeout=120.0)
             assert asy_session.wait(timeout=120.0)
             sim_cp = sim.critpath_payload(sim_session.session_id)
@@ -289,7 +289,9 @@ class TestExplain:
     def test_explain_works_on_broker_sessions(self, arrivals):
         service = make_service()
         try:
-            session = submit_sql(service, arrivals[0].query.sql())
+            session = submit_sql(
+                service, arrivals[0].query.sql(), trace=True
+            )
             assert session.wait(timeout=120.0)
             explanation = service.explain_payload(session.session_id)
         finally:
@@ -298,12 +300,22 @@ class TestExplain:
         assert explanation["commodities"]
 
     def test_untraced_session_409s(self, arrivals):
+        self.check_untraced(arrivals, trace=False)
+
+    def test_default_session_is_untraced(self, arrivals):
+        """Sessions are untraced unless the submit says "trace": true."""
+        self.check_untraced(arrivals)
+
+    def check_untraced(self, arrivals, **payload):
         service = make_service()
         try:
             session = submit_sql(
-                service, arrivals[0].query.sql(), trace=False
+                service, arrivals[0].query.sql(), **payload
             )
             assert session.wait(timeout=120.0)
+            assert session.result.found
+            assert session.result.ledger is None
+            assert session.result.telemetry is None
             with pytest.raises(BrokerError) as err:
                 service.explain_payload(session.session_id)
             with pytest.raises(BrokerError) as crit_err:
@@ -312,6 +324,8 @@ class TestExplain:
             service.close()
         assert err.value.status == 409
         assert crit_err.value.status == 409
+        assert '"trace": true' in err.value.message
+        assert '"trace": true' in crit_err.value.message
 
 
 class TestRouter:
@@ -323,7 +337,9 @@ class TestRouter:
 
     def test_submit_poll_result_explain(self, service, arrivals):
         router = Router(service)
-        body = json.dumps({"sql": arrivals[0].query.sql()}).encode()
+        body = json.dumps(
+            {"sql": arrivals[0].query.sql(), "trace": True}
+        ).encode()
         status, payload = router.dispatch("POST", "/sessions", body)
         assert status == 202
         sid = payload["session"]
@@ -800,6 +816,47 @@ class TestRetention:
         finally:
             service.close()
 
+    def test_shed_sessions_are_not_retained(self, arrivals):
+        """More shed submits than the retention cap leave an earlier
+        result in place; a shed id answers 410 like an evicted one."""
+        release = threading.Event()
+        service = make_service(
+            admission=AdmissionConfig(max_concurrent=1, queue_limit=1)
+        )
+        service._negotiate = (
+            lambda session: session.session_id == "s2"
+            and release.wait(timeout=60.0)
+        )
+        try:
+            router = Router(service)
+            sql = arrivals[0].query.sql()
+            assert submit_sql(service, sql).wait(timeout=30.0)
+            held = submit_sql(service, sql)
+            deadline = time.monotonic() + 30.0
+            while held.state != RUNNING and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert held.state == RUNNING
+            queued = submit_sql(service, sql)
+            shed = [
+                submit_sql(service, sql)
+                for _ in range(service.retain_sessions + 10)
+            ]
+            assert all(session.state == SHED for session in shed)
+            status, payload = router.dispatch("GET", "/sessions/s1/result")
+            assert status == 200 and payload["state"] == COMPLETED
+            status, payload = router.dispatch(
+                "GET", f"/sessions/{shed[0].session_id}"
+            )
+            assert status == 410 and "gone" in payload["error"]
+            assert {s.session_id for s in service.sessions()} == {
+                "s1", held.session_id, queued.session_id
+            }
+            release.set()
+            assert service.drain(timeout=30.0)
+        finally:
+            release.set()
+            service.close()
+
     def test_retention_limits_are_validated(self):
         world = build_world(**WORLD)
         with pytest.raises(ValueError):
@@ -817,7 +874,9 @@ class TestRetention:
         try:
             rss_at_100 = None
             for index in range(500):
-                session = submit_sql(service, sqls[index % len(sqls)])
+                session = submit_sql(
+                    service, sqls[index % len(sqls)], trace=True
+                )
                 assert session.wait(timeout=120.0)
                 assert session.state == COMPLETED
                 if index == 99:
@@ -843,11 +902,11 @@ class TestRetention:
         sql = arrivals[0].query.sql()
         try:
             # first-call set-up (imports, memo tables) happens here
-            assert submit_sql(service, sql).wait(timeout=60.0)
+            assert submit_sql(service, sql, trace=True).wait(timeout=60.0)
             gc.collect()
             gc.disable()
             try:
-                session = submit_sql(service, sql)
+                session = submit_sql(service, sql, trace=True)
                 assert session.wait(timeout=60.0)
                 assert service.result_payload(session.session_id)["found"]
                 assert gc.collect() == 0

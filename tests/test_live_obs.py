@@ -441,6 +441,15 @@ class TestRouterEndpoints:
         assert payload["qerror_failures"] == 0
         assert payload["operational"]
 
+    def test_default_sessions_are_traced_under_live_obs(self, broker_runs):
+        """The hub reads every session's trace, so under live
+        observability a submit without "trace" is traced."""
+        router = Router(broker_runs["service"])
+        status, payload = router.dispatch("GET", "/sessions/s1/explain")
+        assert status == 200 and payload["commodities"]
+        status, payload = router.dispatch("GET", "/sessions/s1/critpath")
+        assert status == 200 and payload["total"] > 0.0
+
     def test_events_endpoint_paging_and_validation(self, broker_runs):
         router = Router(broker_runs["service"])
         status, page = router.dispatch("GET", "/events?since=0&limit=4")

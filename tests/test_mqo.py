@@ -216,7 +216,7 @@ class TestMQOOffByteIdentity:
     def broker_ledger(self, query, **service_kwargs) -> str:
         service = make_service(**service_kwargs)
         try:
-            session = submit_sql(service, query.sql())
+            session = submit_sql(service, query.sql(), trace=True)
             assert session.wait(timeout=120.0)
             result = session.result
         finally:
@@ -236,7 +236,7 @@ class TestMQOOffByteIdentity:
         service = make_service(mqo=MQOConfig(enabled=False))
         try:
             assert service.mqo is None
-            session = submit_sql(service, query.sql())
+            session = submit_sql(service, query.sql(), trace=True)
             assert session.wait(timeout=120.0)
             ledger = session.result.ledger.to_json()
         finally:
@@ -256,7 +256,7 @@ class TestMQOOffByteIdentity:
         query = arrivals[0].query
         service = make_service(mqo=MQOConfig(epoch_size=8, epoch_window=0.01))
         try:
-            session = submit_sql(service, query.sql())
+            session = submit_sql(service, query.sql(), trace=True)
             assert session.wait(timeout=120.0)
             assert session.seed_offers is None and session.epoch is None
             ledger = session.result.ledger.to_json()

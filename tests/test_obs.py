@@ -14,17 +14,19 @@ Pins the three contracts ``docs/OBSERVABILITY.md`` promises:
 
 import itertools
 import json
+import pathlib
 
 import pytest
 
 import repro.trading.commodity as commodity
-from repro.bench.harness import build_world, run_qt
+from repro.bench.harness import build_world, run_qt, trade
 from repro.faults import FaultPlan, LinkFaults
 from repro.net import MessageKind, Network
 from repro.net.simulator import Simulator
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
+    NegotiationLedger,
     RunTelemetry,
     Tracer,
     chrome_trace_events,
@@ -39,6 +41,12 @@ from repro.obs import (
 from repro.obs.tracer import NO_PARENT
 from repro.trading import OfferCache
 from repro.workload import chain_query
+
+FAULT_PLAN = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "examples"
+    / "fault_plan.json"
+)
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +278,79 @@ def test_faulty_run_emits_fault_events():
     assert metrics.total("faults_total") == len(drops) + len(dups) + sum(
         1 for r in tracer.records if r.name == "fault.delay_spike"
     )
+
+
+# ----------------------------------------------------------------------
+# Telemetry and ledger are derived on first read
+# ----------------------------------------------------------------------
+def _derived(telemetry, ledger) -> tuple[str, str, str]:
+    return (
+        json.dumps(telemetry.to_dict(), sort_keys=True),
+        json.dumps(telemetry.critical_path, sort_keys=True),
+        ledger.to_json(),
+    )
+
+
+def _eager(records) -> tuple[str, str, str]:
+    """What the trader attached before derivation became lazy."""
+    return _derived(
+        RunTelemetry.from_records(records),
+        NegotiationLedger.from_records(records),
+    )
+
+
+def _lazy(result) -> tuple[str, str, str]:
+    return _derived(result.telemetry, result.ledger)
+
+
+def test_lazy_derivation_matches_eager_and_drops_the_records():
+    world = build_world(nodes=8, n_relations=4, seed=7)
+    tracer = Tracer()
+    result = trade(world, chain_query(3), tracer=tracer)
+    assert result.found and result.telemetry.critical_path is not None
+    assert result._records is not None  # the ledger is not read yet
+    assert result.ledger is not None
+    assert result._records is None
+    assert _lazy(result) == _eager(tracer.records)
+
+
+def test_each_trade_on_a_shared_tracer_derives_from_its_own_slice():
+    """A second trade on the same tracer, run before the first result
+    is read, changes nothing the first result derives."""
+    world = build_world(nodes=8, n_relations=4, seed=7)
+    network = Network(world.model)
+    tracer = Tracer()
+    network.attach_tracer(tracer)
+    from repro.trading import BuyerPlanGenerator, QueryTrader
+
+    trader = QueryTrader(
+        "client", world.seller_agents(), network,
+        BuyerPlanGenerator(world.builder, "client"),
+    )
+    first = trader.optimize(chain_query(3))
+    mark = len(tracer.records)
+    second = trader.optimize(chain_query(2, selection_cat=1))
+    assert first.found and second.found
+    assert _lazy(first) == _eager(tracer.records[:mark])
+    assert _lazy(second) == _eager(tracer.records[mark:])
+
+
+def test_resilient_run_derives_from_the_whole_run():
+    """Under the example fault plan a crashed winner is renegotiated:
+    telemetry and ledger span every inner trade, as before."""
+    commodity._offer_ids = itertools.count(1)
+    world = build_world(nodes=6, n_relations=4, fragments=2, replicas=2,
+                        seed=7)
+    tracer = Tracer()
+    result = trade(
+        world, chain_query(3),
+        fault_plan=FaultPlan.from_file(str(FAULT_PLAN)),
+        offer_cache=OfferCache(), tracer=tracer,
+    )
+    assert result.found and result.resilience.renegotiations >= 1
+    optimizes = [r for r in tracer.records if r.name == "trade.optimize"]
+    assert len(optimizes) >= 2
+    assert _lazy(result) == _eager(tracer.records)
 
 
 # ----------------------------------------------------------------------
