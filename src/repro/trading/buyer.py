@@ -163,6 +163,42 @@ class _Rectangles:
                 continue  # a second alias differs, or fragments overlap
             yield entry
 
+    def candidates(
+        self, rect: int, limit: int, leading: bool = False
+    ) -> list[int] | None:
+        """Every rectangle over *rect*'s aliases that :meth:`partners`
+        would accept for *rect* (with the same *leading*), in no
+        particular order, or ``None`` when there are *limit* or more.
+
+        A partner differs from *rect* on exactly one alias field ``f``
+        and is disjoint from it there, so it is ``rect & ~f | s`` for a
+        non-empty set ``s`` of the fragments of ``f`` that *rect* lacks
+        (with *leading*, only those above *rect*'s lowest fragment on
+        ``f``).  The count, Σ(2^k − 1) over the fields, comes from bit
+        counts before any candidate is built, so a wide field costs
+        nothing here."""
+        free = []
+        total = 0
+        for field in self._fields:
+            own = rect & field
+            if not own:
+                continue  # an alias outside the rectangle
+            lacking = field ^ own
+            if leading:
+                lacking &= -(own & -own)  # above own's lowest bit
+            if lacking:
+                total += (1 << lacking.bit_count()) - 1
+                free.append((rect ^ own, lacking))
+        if total >= limit:
+            return None
+        found = []
+        for base, lacking in free:
+            chosen = lacking
+            while chosen:  # every non-empty subset of lacking
+                found.append(base | chosen)
+                chosen = (chosen - 1) & lacking
+        return found
+
 
 class _Split:
     """What every join over one ``(left, right)`` split shares: the
@@ -765,6 +801,17 @@ class BuyerPlanGenerator:
         greedy completion pass afterwards guarantees that a *complete*
         entry exists whenever the bucket's pieces can cover the required
         fragments at all.
+
+        A popped entry unions with its partners in bucket order, as the
+        bucket stood when it was popped: entries made during the pop are
+        not its partners.  The partners are found by lookup — each of
+        the few rectangles :meth:`_Rectangles.candidates` names is one
+        ``bucket.get`` — and put in bucket order by ``slot``, each key's
+        position in the bucket dict (a new key goes last, a replaced one
+        keeps its place, and only ``_prune`` reorders).  When there are
+        at least as many candidates as entries, the pop scans the bucket
+        instead, so no pop costs more than a scan.  An in-closure ``_prune``
+        also drops the heap items it evicted.
         """
         bucket = subsets.get(subset)
         if not bucket or len(bucket) < 2:
@@ -776,24 +823,44 @@ class BuyerPlanGenerator:
             (e.score, next(counter), e) for e in bucket.values()
         ]
         heapq.heapify(heap)
+        slot = {key: i for i, key in enumerate(bucket)}
         pops = 0
         while heap and pops < self.union_budget:
             _cost, _seq, a = heapq.heappop(heap)
             if bucket.get(a.key) is not a:
-                continue  # evicted or superseded
+                continue  # superseded
             pops += 1
             form = a.form
-            scan = list(bucket.values())  # the bucket grows as we go
-            for b in rects.partners(a.rect, scan, leading=True):
-                if b.form != form:
-                    continue
+            found = rects.candidates(a.rect, len(bucket), leading=True)
+            if found is None:  # no fewer candidates than entries: scan
+                partners = [
+                    b
+                    for b in rects.partners(
+                        a.rect, bucket.values(), leading=True
+                    )
+                    if b.form == form
+                ]
+            else:
+                partners = [
+                    b
+                    for rect in found
+                    if (b := bucket.get((rect, form))) is not None
+                ]
+                partners.sort(key=lambda b: slot[b.key])
+            for b in partners:
                 entry = self._union_entry(a, b, query, full)
                 enumerated += 1
                 if self._add_entry(subsets, subset, entry):
+                    slot.setdefault(entry.key, len(slot))
                     heapq.heappush(heap, (entry.score, next(counter), entry))
             if len(bucket) > self.max_entries_per_subset * 4:
                 self._prune(subsets, subset, cap=self.max_entries_per_subset * 2)
                 bucket = subsets[subset]
+                slot = {key: i for i, key in enumerate(bucket)}
+                heap = [
+                    item for item in heap if bucket.get(item[2].key) is item[2]
+                ]
+                heapq.heapify(heap)
         enumerated += self._greedy_complete(subsets, subset, query, rects)
         return enumerated
 

@@ -1,8 +1,9 @@
 """Unit tests for the buyer plan generator and predicates analyser."""
 
+import heapq
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from types import SimpleNamespace
 
 import pytest
@@ -28,12 +29,15 @@ from repro.trading import (
     SellerAgent,
 )
 from repro.trading.buyer import (
+    FINAL,
+    RAW,
     BuyerPredicatesAnalyser,
     PlanGenResult,
+    _Entry,
     _Rectangles,
 )
 from repro.trading.commodity import next_offer_id, offer_id_scope
-from repro.trading.valuation import TIME_ONLY, Valuation
+from repro.trading.valuation import TIME_ONLY, Valuation, WeightedValuation
 from repro.workload import chain_query, star_query
 from tests.conftest import assert_golden, gather_offers, make_federation
 
@@ -166,6 +170,29 @@ def rectangle_pairs(draw):
     return required, first, second
 
 
+@st.composite
+def rectangle_pools(draw):
+    """A rectangle and a pool of others over the same aliases, as one
+    bucket's entries are; most of the pool are near misses of it."""
+    required, first, _second = draw(rectangle_pairs())
+    subset = sorted(first)
+
+    def fragments(alias):
+        return draw(
+            st.frozensets(st.sampled_from(sorted(required[alias])), min_size=1)
+        )
+
+    pool = []
+    for _ in range(draw(st.integers(0, 12))):
+        other = dict(first)
+        for changed in draw(
+            st.lists(st.sampled_from(subset), min_size=1, max_size=2)
+        ):
+            other[changed] = fragments(changed)
+        pool.append(other)
+    return required, first, pool
+
+
 def union_oracle(a, b):
     """``(differing alias, merged rectangle)`` if *a* and *b* differ on
     exactly one alias with disjoint fragment sets there, else ``None``."""
@@ -205,6 +232,242 @@ class TestRectangles:
         for coverage, rect in ((a, ra), (b, rb)):
             complete = all(coverage[x] >= required[x] for x in coverage)
             assert (rect == rects.required(subset)) == complete
+
+    @settings(max_examples=300, deadline=None)
+    @given(rectangle_pools(), st.booleans())
+    def test_candidates_agree_with_oracle(self, drawn, leading):
+        required, a, pool = drawn
+        rects = _Rectangles(sorted(required), required)
+        ra = rects.encode(a)
+        found = rects.candidates(ra, 1 << 40, leading)
+        assert len(set(found)) == len(found) and ra not in found
+        # probed against the pool, as the closure probes its bucket
+        probed = set(map(rects.encode, pool)) & set(found)
+        expected = set()
+        for b in pool:
+            union = union_oracle(a, b)
+            if union is None:
+                continue
+            differing = union[0]
+            if not leading or min(a[differing]) < min(b[differing]):
+                expected.add(rects.encode(b))
+        assert probed == expected
+        # the bound: None from `limit` candidates on, without building any
+        assert rects.candidates(ra, len(found), leading) is None
+        assert rects.candidates(ra, len(found) + 1, leading) == found
+
+    def test_candidates_bounded_on_wide_fields(self):
+        twenty = set(range(20))
+        rects = rectangles(a=twenty, b=twenty)
+        # 2 × (2^19 − 1) leading candidates: counted, not enumerated
+        assert rects.candidates(
+            rects.encode({"a": {0}, "b": {0}}), 1000, leading=True
+        ) is None
+        # a rectangle lacking one fragment per alias has few partners
+        near = rects.encode({"a": twenty - {19}, "b": twenty - {0}})
+        a_partner = rects.encode({"a": {19}, "b": twenty - {0}})
+        b_partner = rects.encode({"a": twenty - {19}, "b": {0}})
+        assert rects.candidates(near, 1000, leading=True) == [a_partner]
+        assert sorted(rects.candidates(near, 1000)) == sorted(
+            [a_partner, b_partner]
+        )
+        assert rects.candidates(near, 2) is None
+
+
+class _Offering(BuyerPlanGenerator):
+    """Keeps every entry offered to a bucket, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.offered = []
+
+    def _add_entry(self, subsets, subset, entry):
+        self.offered.append(entry)
+        return super()._add_entry(subsets, subset, entry)
+
+
+class _ScanClosureGenerator(_Offering):
+    """The union closure before partner lookup, as the reference the
+    lookup closure must reproduce: every live pop scans a copy of the
+    whole bucket, and evicted entries stay in the heap until popped."""
+
+    def _union_closure(self, subsets, subset, query, rects):
+        bucket = subsets.get(subset)
+        if not bucket or len(bucket) < 2:
+            return 0
+        enumerated = 0
+        full = rects.required(subset)
+        counter = count()
+        heap = [(e.score, next(counter), e) for e in bucket.values()]
+        heapq.heapify(heap)
+        pops = 0
+        while heap and pops < self.union_budget:
+            _cost, _seq, a = heapq.heappop(heap)
+            if bucket.get(a.key) is not a:
+                continue  # evicted or superseded
+            pops += 1
+            form = a.form
+            scan = list(bucket.values())  # the bucket grows as we go
+            for b in rects.partners(a.rect, scan, leading=True):
+                if b.form != form:
+                    continue
+                entry = self._union_entry(a, b, query, full)
+                enumerated += 1
+                if self._add_entry(subsets, subset, entry):
+                    heapq.heappush(heap, (entry.score, next(counter), entry))
+            if len(bucket) > self.max_entries_per_subset * 4:
+                self._prune(
+                    subsets, subset, cap=self.max_entries_per_subset * 2
+                )
+                bucket = subsets[subset]
+        enumerated += self._greedy_complete(subsets, subset, query, rects)
+        return enumerated
+
+
+@st.composite
+def closure_buckets(draw):
+    """Seed entries of one bucket over every alias of a small layout
+    (≤ 4 aliases × 3–6 fragments), shaped like fragment offers: each is
+    a base rectangle with at most one alias narrowed to a few
+    fragments, so most pairs are partners.  Both forms, some complete,
+    some sharing a key, with small round numbers so scores tie."""
+    required = {
+        f"r{i}": frozenset(range(draw(st.integers(3, 6))))
+        for i in range(draw(st.integers(1, 4)))
+    }
+    subset = (1 << len(required)) - 1
+    rects = _Rectangles(sorted(required), required)
+
+    def fragments(alias, max_size=None):
+        return draw(
+            st.frozensets(
+                st.sampled_from(sorted(required[alias])),
+                min_size=1,
+                max_size=max_size,
+            )
+        )
+
+    base = {
+        alias: fids if draw(st.booleans()) else fragments(alias)
+        for alias, fids in required.items()
+    }
+    narrowable = draw(
+        st.lists(st.sampled_from(sorted(required)), min_size=1, max_size=2)
+    )
+    seeds = []
+    for _ in range(draw(st.integers(2, 32))):
+        coverage = dict(base)
+        narrowed = draw(st.sampled_from([None, *narrowable, *narrowable]))
+        if narrowed is not None:
+            coverage[narrowed] = fragments(narrowed, max_size=2)
+        seeds.append(
+            closure_seed(
+                rects, subset, coverage,
+                rows=float(draw(st.integers(1, 8)) * 100),
+                time=draw(st.integers(1, 16)) / 8,
+                money=draw(st.integers(0, 3)) / 4,
+                site=draw(st.sampled_from(["s1", "s2", "client"])),
+                form=draw(st.sampled_from([RAW, RAW, RAW, FINAL])),
+            )
+        )
+    return rects, subset, seeds
+
+
+def closure_seed(
+    rects, subset, coverage, rows, time, money=0.0, site="s1", form=RAW
+):
+    """A purchased entry over the alias subset *subset*."""
+    rect = rects.encode(coverage)
+    return _Entry(
+        rows, site, time, rect, form, rect == rects.required(subset),
+        (money,), money, 1.0,
+        WeightedValuation().score(time, rows, money, 1.0),
+    )
+
+
+def closure_fingerprint(entries):
+    """Each entry's key and numbers, and its operand tree down to the
+    (shared) seed entries."""
+
+    def shape(entry):
+        if entry.a is None:
+            return id(entry)
+        return shape(entry.a), shape(entry.b)
+
+    return [
+        (
+            entry.key, entry.complete, entry.site, entry.rows.hex(),
+            entry.time.hex(), entry.money.hex(), entry.score.hex(),
+            entry.monies, shape(entry),
+        )
+        for entry in entries
+    ]
+
+
+def both_closures(builder, rects, subset, seeds, distinct=False, **caps):
+    """What the lookup closure and the scan reference make of one bucket
+    seeded with *seeds*: ``enumerated``, every entry offered to the
+    bucket in order, and the bucket's entries in order."""
+    results = []
+    for closure in (_Offering, _ScanClosureGenerator):
+        generator = closure(builder, "client", **caps)
+        subsets = {}
+        for seed in seeds:
+            generator._add_entry(subsets, subset, seed)
+        enumerated = generator._union_closure(
+            subsets, subset, SimpleNamespace(distinct=distinct), rects
+        )
+        results.append(
+            (
+                enumerated,
+                closure_fingerprint(generator.offered),
+                closure_fingerprint(subsets[subset].values()),
+            )
+        )
+    return results
+
+
+class TestUnionClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=closure_buckets(),
+        max_entries=st.sampled_from([4, 6, 8]),
+        budget=st.integers(1, 200),
+        distinct=st.booleans(),
+    )
+    def test_lookup_closure_equals_the_scan(
+        self, world, drawn, max_entries, budget, distinct
+    ):
+        _catalog, builder = world
+        rects, subset, seeds = drawn
+        # small caps: in-closure prunes fire, the budget binds, and pops
+        # after a prune find partners the prune reordered
+        lookup, scan = both_closures(
+            builder, rects, subset, seeds, distinct,
+            max_entries_per_subset=max_entries, union_budget=budget,
+        )
+        assert lookup == scan
+
+    def test_partners_after_a_prune_keep_the_pruned_order(self, world):
+        # The prune after the fourth pop keeps 8 of 17 entries by score;
+        # the fifth pop's partners then stand in the bucket in another
+        # order than they were inserted in.
+        _catalog, builder = world
+        rects = rectangles(r0=range(5))
+        seeds = [
+            closure_seed(rects, 0b1, {"r0": fids}, rows, time)
+            for fids, rows, time in [
+                ({0}, 800.0, 0.375), ({3}, 600.0, 2.0), ({4}, 200.0, 0.5),
+                ({1}, 700.0, 1.25), ({1, 4}, 700.0, 1.75),
+                ({2, 3}, 700.0, 0.75), ({2, 4}, 600.0, 1.75),
+                ({0, 2}, 100.0, 0.875),
+            ]
+        ]
+        lookup, scan = both_closures(
+            builder, rects, 0b1, seeds,
+            max_entries_per_subset=4, union_budget=5,
+        )
+        assert lookup == scan
 
 
 class TestPlanGeneration:
