@@ -76,9 +76,9 @@ _FLIPPED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 #: Per-instance memo attributes that must never travel across processes:
-#: cached hashes embed salted string hashes, and the columns frozenset is
-#: cheaper to rebuild than to ship.
-_EXPR_CACHE_ATTRS = ("_hash_memo", "_columns_memo")
+#: cached hashes embed salted string hashes, and the columns frozenset and
+#: the rendered SQL are cheaper to rebuild than to ship.
+_EXPR_CACHE_ATTRS = ("_hash_memo", "_columns_memo", "_sql_memo")
 
 
 class Expr:
@@ -100,6 +100,17 @@ class Expr:
         return memo
 
     def _compute_columns(self) -> frozenset["Column"]:
+        raise NotImplementedError
+
+    def _sql(self) -> str:
+        """Memoizing wrapper used by the compound nodes' ``sql()``."""
+        memo = self.__dict__.get("_sql_memo")
+        if memo is None:
+            memo = self._render_sql()
+            object.__setattr__(self, "_sql_memo", memo)
+        return memo
+
+    def _render_sql(self) -> str:
         raise NotImplementedError
 
     def _hash(self, parts: tuple) -> int:
@@ -344,6 +355,9 @@ class InList(Expr):
         return Not(self)
 
     def sql(self) -> str:
+        return self._sql()
+
+    def _render_sql(self) -> str:
         items = ", ".join(Literal(v).sql() for v in sorted(self.values, key=repr))
         return f"{self.col.sql()} IN ({items})"
 
@@ -419,6 +433,9 @@ class And(Expr):
         return Or(tuple(c.negate() for c in self.children))
 
     def sql(self) -> str:
+        return self._sql()
+
+    def _render_sql(self) -> str:
         return " AND ".join(
             f"({c.sql()})" if isinstance(c, Or) else c.sql() for c in self.children
         )
@@ -472,6 +489,9 @@ class Or(Expr):
         return And(tuple(c.negate() for c in self.children))
 
     def sql(self) -> str:
+        return self._sql()
+
+    def _render_sql(self) -> str:
         return " OR ".join(
             f"({c.sql()})" if isinstance(c, (And, Or)) else c.sql()
             for c in self.children

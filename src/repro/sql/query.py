@@ -174,13 +174,22 @@ class SPJQuery:
         return tuple(c for c in self.predicate.conjuncts() if c not in joins)
 
     def selection_on(self, alias: str) -> Expr:
-        """Conjunction of selection conjuncts touching only *alias*."""
-        parts = [
-            c
-            for c in self.selection_conjuncts()
-            if c.tables() <= frozenset((alias,))
-        ]
-        return conjoin(parts)
+        """Conjunction of selection conjuncts touching only *alias*.
+
+        Memoized per alias, like :meth:`key`: every seller asked for
+        this query rewrites it against the same selections.
+        """
+        memo = self.__dict__.get("_selection_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_selection_memo", memo)
+        selection = memo.get(alias)
+        if selection is None:
+            only = frozenset((alias,))
+            selection = memo[alias] = conjoin(
+                [c for c in self.selection_conjuncts() if c.tables() <= only]
+            )
+        return selection
 
     def output_columns(
         self, schemas: Mapping[str, Relation] | None = None
@@ -230,19 +239,28 @@ class SPJQuery:
         ``None`` if the subset is empty.  This is the building block of
         the seller's modified-DP offer generation (Section 3.4): each
         optimal k-way partial result becomes a tradable sub-query.
+        Memoized per subset: sellers sharing one rewrite share its
+        sub-queries, and with them their :meth:`key`.
         """
         wanted = frozenset(aliases)
         if not wanted or not wanted <= self.aliases:
             return None
-        relations = tuple(r for r in self.relations if r.alias in wanted)
-        conjuncts = [
-            c for c in self.predicate.conjuncts() if c.tables() <= wanted
-        ]
-        return SPJQuery(
-            relations=relations,
-            predicate=conjoin(conjuncts),
-            projections=(Star(),),
-        )
+        memo = self.__dict__.get("_subquery_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_subquery_memo", memo)
+        sub = memo.get(wanted)
+        if sub is None:
+            relations = tuple(r for r in self.relations if r.alias in wanted)
+            conjuncts = [
+                c for c in self.predicate.conjuncts() if c.tables() <= wanted
+            ]
+            sub = memo[wanted] = SPJQuery(
+                relations=relations,
+                predicate=conjoin(conjuncts),
+                projections=(Star(),),
+            )
+        return sub
 
     # ------------------------------------------------------------------
     # Canonical form & identity
@@ -285,6 +303,8 @@ class SPJQuery:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_key_memo", None)
+        state.pop("_selection_memo", None)
+        state.pop("_subquery_memo", None)
         return state
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ the rewritten query degrades to ``SELECT *`` and the buyer re-aggregates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,12 +34,21 @@ from repro.sql.expr import (
     satisfiable,
 )
 from repro.sql.query import Aggregate, SPJQuery, Star
-from repro.sql.schema import PartitionScheme, Relation
+from repro.sql.schema import Fragment, PartitionScheme, Relation
 
-__all__ = ["RewrittenQuery", "rewrite_query", "coverage_restriction"]
+__all__ = [
+    "RewrittenQuery",
+    "rewrite_query",
+    "compatible_coverage",
+    "coverage_restriction",
+    "fragment_overlaps",
+]
 
 # Aggregates whose partial results can be re-combined by the buyer.
 _DECOMPOSABLE_AGGS = frozenset(("sum", "count", "min", "max"))
+
+#: Entries kept by the fragment-overlap memo (least recently used go).
+OVERLAP_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,60 @@ def _aggregates_survive(
     return True
 
 
+@functools.lru_cache(maxsize=OVERLAP_MEMO_SIZE)
+def _overlap_memo(
+    selection_text: str,
+    fragment_text: str,
+    alias: str,
+    selection: Expr,
+    fragment: Fragment,
+) -> bool:
+    return restriction_overlaps(selection, fragment.restriction_for(alias))
+
+
+def fragment_overlaps(selection: Expr, fragment: Fragment, alias: str) -> bool:
+    """May rows of *fragment*, read as *alias*, satisfy *selection*?
+
+    A pure function of its arguments, so it is memoized: every seller
+    holding *fragment* asks it again for each query it is sent.  The key
+    carries both predicates' SQL text because structural equality cannot
+    tell the literal ``1`` from ``1.0`` and the test can: ``part > 1 AND
+    part < 2`` is empty, ``part > 1.0 AND part < 2`` is not.
+    """
+    return _overlap_memo(
+        selection.sql(), fragment.predicate.sql(), alias, selection, fragment
+    )
+
+
+def compatible_coverage(
+    query: SPJQuery,
+    schemes: Mapping[str, PartitionScheme],
+    held: Mapping[str, frozenset[int]],
+) -> dict[str, frozenset[int]]:
+    """``alias -> fragment ids`` of *held* that *query* may read.
+
+    A relation contributes the held fragments its selection may overlap;
+    an alias with none is absent.  The rewrite of *query* depends on
+    *held* only through this map, so nodes with equal compatible
+    coverage share one rewrite.
+    """
+    coverage: dict[str, frozenset[int]] = {}
+    for ref in query.relations:
+        local_fragments = held.get(ref.name)
+        if not local_fragments:
+            continue
+        scheme = schemes[ref.name]
+        selection = query.selection_on(ref.alias)
+        compatible = frozenset(
+            fid
+            for fid in local_fragments
+            if fragment_overlaps(selection, scheme.fragment(fid), ref.alias)
+        )
+        if compatible:
+            coverage[ref.alias] = compatible
+    return coverage
+
+
 def rewrite_query(
     query: SPJQuery,
     schemas: Mapping[str, Relation],
@@ -138,28 +202,10 @@ def rewrite_query(
     own selection (e.g. the node stores only ``office='Athens'`` rows
     while the query asks for Corfu and Myconos).
     """
-    coverage: dict[str, frozenset[int]] = {}
-    dropped: set[str] = set()
-    for ref in query.relations:
-        local_fragments = held.get(ref.name, frozenset())
-        if not local_fragments:
-            dropped.add(ref.alias)
-            continue
-        scheme = schemes[ref.name]
-        selection = query.selection_on(ref.alias)
-        compatible = frozenset(
-            fid
-            for fid in local_fragments
-            if restriction_overlaps(
-                selection, scheme.fragment(fid).restriction_for(ref.alias)
-            )
-        )
-        if compatible:
-            coverage[ref.alias] = compatible
-        else:
-            dropped.add(ref.alias)
+    coverage = compatible_coverage(query, schemes, held)
     if not coverage:
         return None
+    dropped = {ref.alias for ref in query.relations} - coverage.keys()
 
     if dropped:
         base = query.subquery_on(coverage.keys())

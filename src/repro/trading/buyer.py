@@ -940,14 +940,17 @@ class BuyerPlanGenerator:
         bucket = subsets.get(subset)
         if not bucket or len(bucket) <= cap:
             return
-        complete = {k: e for k, e in bucket.items() if e.complete}
-        incomplete = sorted(
-            (item for item in bucket.items() if not item[1].complete),
-            key=lambda kv: kv[1].score,
-        )
-        room = max(0, cap - len(complete))
-        kept = dict(complete)
-        kept.update(dict(incomplete[:room]))
+        kept: dict[tuple, _Entry] = {}
+        incomplete: list[_Entry] = []
+        for entry in bucket.values():
+            if entry.complete:
+                kept[entry.key] = entry
+            else:
+                incomplete.append(entry)
+        # Stable: tied scores keep bucket order.
+        incomplete.sort(key=attrgetter("score"))
+        for entry in incomplete[: max(0, cap - len(kept))]:
+            kept[entry.key] = entry
         subsets[subset] = kept
 
     def _idp_prune(

@@ -19,8 +19,11 @@ deltas.
 
 The same cache also memoizes the step before optimization, the seller's
 rewrite of a requested query to its holdings (:meth:`OfferCache.rewrite`).
-A rewrite depends only on the query and the held fragments, so replicas
-holding the same fragments share one.
+A rewrite depends only on the query and its *compatible coverage* — the
+held fragments the query's selection may read
+(:func:`~repro.sql.rewrite.compatible_coverage`) — so every seller that
+can answer the same part of a query shares one rewrite, whatever else
+it holds.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from repro.cost.model import NodeCapabilities
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sql.query import SPJQuery
-from repro.trading.commodity import coverage_key
+from repro.trading.commodity import CoverageKey, coverage_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.dp import DPResult
@@ -48,10 +51,8 @@ __all__ = [
 #: Fraction of the original simulated optimization effort charged on a hit.
 DEFAULT_HIT_WORK_FRACTION = 0.1
 
-CacheKey = tuple[str, tuple[tuple[str, tuple[int, ...]], ...], str, NodeCapabilities, str]
-#: ``(relation, fragment ids)`` of a node's non-empty holdings, sorted.
-HeldSignature = tuple[tuple[str, tuple[int, ...]], ...]
-RewriteKey = tuple[str, SPJQuery, HeldSignature]
+CacheKey = tuple[str, CoverageKey, str, NodeCapabilities, str]
+RewriteKey = tuple[str, SPJQuery, CoverageKey]
 
 _MISSING = object()
 
@@ -149,8 +150,9 @@ class OfferCache:
     A cache may be private to one seller or shared by all sellers of a
     federation world; lookups are keyed by site, so sharing never mixes
     results across nodes — it only pools capacity and statistics.  The
-    rewrite memo is keyed by held fragments instead of site (fragment
-    ids are the world's), so it is shared across sellers on purpose.
+    rewrite memo is keyed by (canonical key, query, compatible coverage)
+    instead of site (fragment ids are the world's), so it is shared
+    across sellers on purpose.
 
     Concurrency: entry and counter mutations are guarded by a lock so
     broker sessions running on separate threads can share one cache
@@ -252,10 +254,11 @@ class OfferCache:
     def rewrite(
         self,
         query: SPJQuery,
-        held: HeldSignature,
+        coverage: CoverageKey,
         compute: Callable[[], "RewrittenQuery | None"],
     ) -> "RewrittenQuery | None":
-        """The rewrite of *query* for a node holding *held*, memoized.
+        """The rewrite of *query* to the compatible *coverage* of the
+        asking node's holdings, memoized.
 
         The key is the query itself, not only its canonical key: two
         queries with one key but a different FROM order rewrite to
@@ -263,11 +266,11 @@ class OfferCache:
         is in it too, because structural equality cannot tell the
         literal ``1`` from ``1.0``.  ``None`` (nothing to contribute) is
         memoized like any rewrite.  The rewrite returned is shared by
-        every seller with these holdings: treat it, coverage included,
-        as read-only.  *compute* runs outside the lock; no hit or miss
-        is counted.
+        every seller with this compatible coverage: treat it, coverage
+        included, as read-only.  *compute* runs outside the lock; no hit
+        or miss is counted.
         """
-        key = (query.key(), query, held)
+        key = (query.key(), query, coverage)
         with self._lock:
             found = self._rewrites.get(key, _MISSING)
         if found is not _MISSING:

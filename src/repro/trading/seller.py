@@ -9,8 +9,9 @@ On receiving an RFB the seller:
    subcontractor skips the whole RFB),
 1. **rewrites** each requested query to its local holdings (dropping
    non-local relations, restricting extents to local fragments); the
-   rewrite is memoized in the offer cache, keyed by the held fragments,
-   so replicas share it,
+   rewrite is memoized in the offer cache, keyed by the query and its
+   *compatible coverage* — the held fragments its selection may read —
+   so every seller that can answer the same part of it shares one,
 2. runs its **local optimizer** — the modified dynamic programming
    algorithm — obtaining a precise plan/cost for the rewritten query *and*
    the optimal 2-way, 3-way, ... partial results, each of which becomes
@@ -38,13 +39,18 @@ from repro.optimizer.dp import DPResult, DynamicProgrammingOptimizer
 from repro.optimizer.plans import Plan, PlanBuilder
 from repro.sql.expr import TRUE
 from repro.sql.query import SPJQuery
-from repro.sql.rewrite import RewrittenQuery, rewrite_query
+from repro.sql.rewrite import (
+    RewrittenQuery,
+    compatible_coverage,
+    rewrite_query,
+)
 from repro.sql.views import match_view
 from repro.trading.cache import OfferCache
 from repro.trading.commodity import (
     AnswerProperties,
     Offer,
     RequestForBids,
+    coverage_key,
     coverage_label,
 )
 from repro.trading.strategy import (
@@ -138,18 +144,10 @@ class SellerAgent:
             self.offer_cache: OfferCache | None = offer_cache
         else:
             self.offer_cache = OfferCache() if use_offer_cache else None
-        #: The holdings as a rewrite-memo key; equal across replicas.
-        self._held_signature = tuple(
-            sorted(
-                (name, tuple(sorted(fids)))
-                for name, fids in local.held.items()
-                if fids
-            )
-        )
         #: Relations this node holds a fragment of: a query naming none
         #: of them rewrites to ``None`` without being rewritten.
         self._held_relations = frozenset(
-            name for name, _fids in self._held_signature
+            name for name, fids in local.held.items() if fids
         )
         #: Observability hook; the trader attaches its network tracer.
         self.tracer: Tracer = NULL_TRACER
@@ -291,8 +289,17 @@ class SellerAgent:
 
     def _rewrite(self, query: SPJQuery) -> RewrittenQuery | None:
         """:func:`rewrite_query` against this node's holdings, through
-        the offer cache's rewrite memo when there is a cache."""
+        the offer cache's rewrite memo when there is a cache.
+
+        The memo is keyed by the fragments this node holds that *query*
+        may read, not by all it holds: nodes that differ only in
+        fragments the selection excludes share one rewrite, and a node
+        left with none needs no rewrite at all.
+        """
         local = self.local
+        coverage = compatible_coverage(query, local.schemes, local.held)
+        if not coverage:
+            return None
 
         def compute() -> RewrittenQuery | None:
             return rewrite_query(
@@ -302,7 +309,7 @@ class SellerAgent:
         cache = self.offer_cache
         if cache is None:
             return compute()
-        return cache.rewrite(query, self._held_signature, compute)
+        return cache.rewrite(query, coverage_key(coverage), compute)
 
     def _offers_for(
         self, query: SPJQuery, rfb: RequestForBids

@@ -54,7 +54,13 @@ def telecom_schemas(telecom):
 
 
 def make_federation(
-    nodes=8, n_relations=3, rows=10_000, fragments=4, replicas=2, seed=7
+    nodes=8,
+    n_relations=3,
+    rows=10_000,
+    fragments=4,
+    replicas=2,
+    seed=7,
+    partition_style="list",
 ):
     """A uniform federation plus its estimator/builder plumbing."""
     config = FederationConfig.uniform(
@@ -64,6 +70,7 @@ def make_federation(
         fragments=fragments,
         replicas=replicas,
         seed=seed,
+        partition_style=partition_style,
     )
     catalog, node_list = build_federation(config)
     estimator = CardinalityEstimator(stats_for_catalog(catalog), catalog.schemas)

@@ -470,6 +470,72 @@ class TestUnionClosure:
         assert lookup == scan
 
 
+def reference_prune(subsets, subset, cap):
+    """The bucket cap as first written, with a dict of complete entries
+    and a sorted list of incomplete items: the reference for
+    :meth:`BuyerPlanGenerator._prune`."""
+    bucket = subsets.get(subset)
+    if not bucket or len(bucket) <= cap:
+        return
+    complete = {k: e for k, e in bucket.items() if e.complete}
+    incomplete = sorted(
+        (item for item in bucket.items() if not item[1].complete),
+        key=lambda kv: kv[1].score,
+    )
+    room = max(0, cap - len(complete))
+    kept = dict(complete)
+    kept.update(dict(incomplete[:room]))
+    subsets[subset] = kept
+
+
+class TestPrune:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=closure_buckets(),
+        all_complete=st.booleans(),
+        data=st.data(),
+    )
+    def test_prune_equals_the_reference(
+        self, world, drawn, all_complete, data
+    ):
+        """Same keys in the same order, holding the same entry objects;
+        the drawn buckets tie scores often."""
+        _catalog, builder = world
+        _rects, subset, seeds = drawn
+        generator = BuyerPlanGenerator(builder, "client")
+        subsets = {}
+        for seed in seeds:
+            if all_complete:
+                seed.complete = True
+            generator._add_entry(subsets, subset, seed)
+        size = len(subsets[subset])
+        cap = data.draw(
+            st.sampled_from([0, 1, size, size + 3]) | st.integers(0, size)
+        )
+        expected = {subset: dict(subsets[subset])}
+        reference_prune(expected, subset, cap)
+        generator._prune(subsets, subset, cap=cap)
+        got = subsets[subset]
+        assert list(got) == list(expected[subset])
+        assert all(
+            a is b for a, b in zip(got.values(), expected[subset].values())
+        )
+
+    def test_tied_scores_keep_bucket_order(self, world):
+        _catalog, builder = world
+        rects = rectangles(r0=range(4))
+        seeds = [
+            closure_seed(rects, 0b1, {"r0": {fid}}, 100.0, 0.5)
+            for fid in (3, 1, 2, 0)
+        ]
+        generator = BuyerPlanGenerator(builder, "client")
+        subsets = {}
+        for seed in seeds:
+            generator._add_entry(subsets, subset=0b1, entry=seed)
+        generator._prune(subsets, 0b1, cap=2)
+        assert list(subsets[0b1].values()) == seeds[:2]
+
+
 class TestPlanGeneration:
     def test_single_full_offer(self, world):
         catalog, builder = world

@@ -93,13 +93,13 @@ class TestRewriteMemo:
 
     @staticmethod
     def _rewrite(cache, i, computed):
-        held = (("R0", (i,)),)
+        coverage = (("r0", (i,)),)
 
         def compute():
             computed.append(i)
             return f"rewrite-{i}"
 
-        return cache.rewrite(chain_query(2), held, compute)
+        return cache.rewrite(chain_query(2), coverage, compute)
 
     def test_bounded_by_max_entries_fifo(self):
         cache = OfferCache(max_entries=4)
@@ -345,10 +345,10 @@ class TestConcurrentSessions:
             barrier.wait()
             try:
                 for i in range(2000):
-                    held = (("R0", (i % 24,)),)
-                    got = view.rewrite(query, held, lambda held=held: held)
-                    if got != held or len(base._rewrites) > base.max_entries:
-                        wrong.append((held, got))
+                    key = (("r0", (i % 24,)),)
+                    got = view.rewrite(query, key, lambda key=key: key)
+                    if got != key or len(base._rewrites) > base.max_entries:
+                        wrong.append((key, got))
             except Exception as exc:  # a torn eviction; reported below
                 wrong.append(exc)
 

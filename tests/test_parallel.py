@@ -82,3 +82,37 @@ def test_query_key_memoized():
     restored = pickle.loads(pickle.dumps(query))
     assert "_key_memo" not in restored.__dict__
     assert restored.key() == query.key()
+
+
+def test_query_selection_and_subquery_memoized():
+    query = SPJQuery(
+        relations=(RelationRef("R0", "r0"), RelationRef("R1", "r1")),
+        predicate=And((
+            Comparison("=", Column("r0", "x"), Column("r1", "x")),
+            Comparison("=", Column("r0", "y"), Literal(3)),
+        )),
+    )
+    selection = query.selection_on("r0")
+    assert query.selection_on("r0") is selection
+    assert query.selection_on("r1") is TRUE
+    sub = query.subquery_on(["r0"])
+    assert query.subquery_on(("r0",)) is sub
+    assert query.subquery_on(()) is None
+    restored = pickle.loads(pickle.dumps(query))
+    assert "_selection_memo" not in restored.__dict__
+    assert "_subquery_memo" not in restored.__dict__
+    assert restored.selection_on("r0") == selection
+    assert restored.subquery_on(("r0",)) == sub
+
+
+def test_expr_sql_memo_and_pickle_hygiene():
+    conj = And((
+        Comparison("=", Column("a", "x"), Literal(3)),
+        Comparison("=", Column("a", "y"), Literal(3.0)),
+    ))
+    text = conj.sql()
+    assert text == "a.x = 3 AND a.y = 3.0"
+    assert conj.sql() is text  # memoized
+    restored = pickle.loads(pickle.dumps(conj))
+    assert "_sql_memo" not in restored.__dict__
+    assert restored.sql() == text

@@ -3,8 +3,16 @@
 import pytest
 
 from repro.sql import column, eq, in_list
-from repro.sql.expr import TRUE, implies
-from repro.sql.rewrite import coverage_restriction, rewrite_query
+from repro.sql.expr import TRUE, gt, implies, restriction_overlaps
+from repro.sql.rewrite import (
+    OVERLAP_MEMO_SIZE,
+    _overlap_memo,
+    compatible_coverage,
+    coverage_restriction,
+    fragment_overlaps,
+    rewrite_query,
+)
+from repro.sql.schema import PartitionScheme
 
 
 @pytest.fixture
@@ -150,3 +158,38 @@ class TestCoverageSemantics:
         }
         result = rewrite_query(query, schemas, schemes, held)
         assert result is not None and result.is_total
+
+
+class TestCompatibleCoverage:
+    def test_is_the_rewrite_coverage(self, telecom, world):
+        schemas, schemes = world
+        query = telecom.manager_query(offices=("Corfu",))
+        held = {name: scheme.fragment_ids for name, scheme in schemes.items()}
+        coverage = compatible_coverage(query, schemes, held)
+        result = rewrite_query(query, schemas, schemes, held)
+        assert coverage == dict(result.coverage)
+        assert all(coverage.values())
+
+    def test_overlap_memo_tells_int_from_float_literals(self):
+        # Fragment 1 is 1 <= id < 2: empty under id > 1 over integers,
+        # not under id > 1.0 — yet the two selections compare equal.
+        fragment = PartitionScheme.by_range("R", "id", [1, 2]).fragment(1)
+        as_int, as_float = gt(column("r", "id"), 1), gt(column("r", "id"), 1.0)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        for selection in (as_int, as_float, as_int, as_float):
+            assert fragment_overlaps(selection, fragment, "r") == (
+                restriction_overlaps(
+                    selection, fragment.restriction_for("r")
+                )
+            )
+        assert not fragment_overlaps(as_int, fragment, "r")
+        assert fragment_overlaps(as_float, fragment, "r")
+
+    def test_overlap_memo_stays_bounded(self):
+        fragment = PartitionScheme.by_range("R", "id", [10]).fragment(0)
+        for bound in range(10 * OVERLAP_MEMO_SIZE):
+            assert fragment_overlaps(
+                gt(column("r", "id"), bound), fragment, "r"
+            ) == (bound < 9)
+            assert _overlap_memo.cache_info().currsize <= OVERLAP_MEMO_SIZE
+        assert _overlap_memo.cache_info().maxsize == OVERLAP_MEMO_SIZE

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from repro.cost import CardinalityEstimator, CostModel
 from repro.obs.tracer import Tracer
 from repro.optimizer import PlanBuilder
-from repro.sql.expr import column, eq
-from repro.sql.rewrite import rewrite_query
+from repro.sql.expr import column, eq, ge, gt, lt
+from repro.sql.rewrite import compatible_coverage, rewrite_query
 from repro.sql.views import MaterializedView
 from repro.trading import (
     CompetitiveSellerStrategy,
@@ -298,7 +298,9 @@ def record_rows(tracer):
 @st.composite
 def worlds(draw):
     """Small uniform federations; few fragments and replicas on many
-    nodes leave some sellers holding nothing (``client`` always)."""
+    nodes leave some sellers holding nothing (``client`` always).
+    Fragments are IN-lists on ``part`` or ranges on ``id`` (ORs of
+    interval conjunctions once merged)."""
     n_relations = draw(st.integers(2, 4))
     catalog, nodes, _est, _model, builder = make_federation(
         nodes=draw(st.integers(3, 9)),
@@ -307,6 +309,7 @@ def worlds(draw):
         fragments=draw(st.integers(1, 3)),
         replicas=draw(st.integers(1, 2)),
         seed=draw(st.integers(0, 3)),
+        partition_style=draw(st.sampled_from(["list", "range"])),
     )
     return catalog, nodes, builder, n_relations
 
@@ -314,8 +317,11 @@ def worlds(draw):
 @st.composite
 def queries(draw, n_relations):
     """A chain query over a window of the relations, in a random FROM
-    order, optionally pinned to one value of the partitioning attribute
-    (so some holders' fragments are disjoint from it)."""
+    order, optionally pinned to one value of ``part`` or bounded on
+    ``id`` — the list and the range partitioning attribute — so some
+    holders' fragments are disjoint from it.  An ``id`` bound is an int
+    or a float: ``id > 332`` misses the fragment ``id < 333`` by the
+    integer rule, ``id > 332.0`` does not."""
     size = draw(st.integers(1, min(3, n_relations)))
     query = chain_query(
         size,
@@ -326,6 +332,13 @@ def queries(draw, n_relations):
     if draw(st.booleans()):
         alias = f"r{draw(st.integers(0, size - 1))}"
         query = query.restrict(eq(column(alias, "part"), draw(st.integers(0, 2))))
+    if draw(st.booleans()):
+        alias = f"r{draw(st.integers(0, size - 1))}"
+        bound = draw(st.sampled_from([gt, ge, lt]))
+        value = draw(st.sampled_from([332, 333, 665, 666]))
+        if draw(st.booleans()):
+            value = float(value)
+        query = query.restrict(bound(column(alias, "id"), value))
     return replace(query, relations=tuple(draw(st.permutations(query.relations))))
 
 
@@ -431,6 +444,100 @@ class TestSkipAndRewriteMemo:
                 assert dict(got.coverage) == dict(expected.coverage)
                 assert got.dropped == expected.dropped
                 assert got.exact_projections == expected.exact_projections
+
+    @given(data=st.data())
+    @DIFFERENTIAL
+    def test_shared_rewrite_equals_own_rewrite(self, data):
+        """Through one shared cache, every seller's rewrite is the one
+        its own holdings give, field for field, whoever computed it."""
+        catalog, nodes, builder, n = data.draw(worlds())
+        asked = data.draw(st.lists(queries(n), min_size=1, max_size=4))
+        cache = OfferCache()
+        for node in nodes:
+            local = catalog.local(node)
+            agent = SellerAgent(local, builder, offer_cache=cache)
+            for query in asked:
+                got = agent._rewrite(query)
+                expected = rewrite_query(
+                    query, local.schemas, local.schemes, local.held
+                )
+                if expected is None:
+                    assert got is None
+                    continue
+                assert got.query == expected.query
+                assert got.query.sql() == expected.query.sql()
+                assert dict(got.coverage) == dict(expected.coverage)
+                assert got.dropped == expected.dropped
+                assert got.exact_projections == expected.exact_projections
+
+    def test_unequal_holdings_with_equal_coverage_share_one_rewrite(
+        self, monkeypatch
+    ):
+        import repro.trading.seller as seller_module
+
+        calls = []
+        real = seller_module.rewrite_query
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(seller_module, "rewrite_query", counted)
+        catalog, _nodes, _est, _model, builder = make_federation(
+            n_relations=2, fragments=4
+        )
+        query = chain_query(2).restrict(eq(column("r0", "part"), 0))
+        base = catalog.local("client")
+        cache = OfferCache()
+        agents = [
+            SellerAgent(
+                replace(
+                    base,
+                    node=f"s{i}",
+                    held={"R0": frozenset(r0), "R1": frozenset({0, 1})},
+                ),
+                builder,
+                offer_cache=cache,
+            )
+            for i, r0 in enumerate(({0, 1}, {0, 2, 3}))
+        ]
+        assert agents[0].local.held != agents[1].local.held
+        first, second = (agent._rewrite(query) for agent in agents)
+        assert dict(first.coverage) == {
+            "r0": frozenset({0}), "r1": frozenset({0, 1})
+        }
+        assert second is first
+        assert calls == [query]
+
+    def test_seller_disjoint_from_the_selection_never_rewrites(
+        self, monkeypatch
+    ):
+        import repro.trading.seller as seller_module
+
+        def forbidden(*_args):
+            raise AssertionError("a disjoint seller rewrote a query")
+
+        monkeypatch.setattr(seller_module, "rewrite_query", forbidden)
+        catalog, _nodes, _est, _model, builder = make_federation(
+            n_relations=2, fragments=4
+        )
+        local = replace(
+            catalog.local("client"),
+            node="s0",
+            held={"R0": frozenset({1, 2}), "R1": frozenset({3})},
+        )
+        query = (
+            chain_query(2)
+            .restrict(eq(column("r0", "part"), 0))
+            .restrict(eq(column("r1", "part"), 0))
+        )
+        assert compatible_coverage(query, local.schemes, local.held) == {}
+        for options in ({}, {"use_offer_cache": False}):
+            agent = SellerAgent(local, builder, **options)
+            assert agent._rewrite(query) is None
+            assert agent.prepare_offers(
+                RequestForBids("client", (query,))
+            ) == ([], 0.0)
 
     def test_equal_queries_with_other_literal_text_get_their_own_rewrite(self):
         # ``cat = 1`` and ``cat = 1.0`` are equal as SPJQuery objects but
