@@ -79,7 +79,6 @@ def run_workload(arrivals, mqo: bool) -> dict:
         world.offer_cache = None
     service = BrokerService(
         world=world,
-        clock="sim",
         admission=AdmissionConfig(
             max_concurrent=4,
             queue_limit=len(arrivals) + 1,

@@ -113,7 +113,6 @@ def broker_drain(arrivals, live_obs=None) -> float:
     commodity._offer_ids = itertools.count(1)
     service = BrokerService(
         world_config=BROKER_WORLD,
-        clock="sim",
         live_obs=live_obs,
     )
     try:

@@ -1,6 +1,6 @@
 """Soak one broker daemon: 10,000 sessions, memory and service time flat.
 
-Starts ``repro serve --clock sim --port 0`` the way ``benchmarks/e2e``
+Starts ``repro serve --port 0`` the way ``benchmarks/e2e``
 does, then drives the ``serve_closed`` deck (42 queries, repeated) from
 two keep-alive clients, each session one ``POST /sessions`` and one
 ``GET /sessions/<id>/result?wait=20``.  At session 200 and every

@@ -959,7 +959,6 @@ def e14_mqo_overlap(
         )
         service = BrokerService(
             world=world,
-            clock="sim",
             admission=AdmissionConfig(max_concurrent=4, queue_limit=64),
             mqo=MQOConfig(epoch_size=tenants, epoch_window=5.0)
             if mqo_on else None,

@@ -10,8 +10,8 @@ Layering (bottom up):
 
 * :mod:`repro.broker.admission` — admit/queue/shed decisions + budgets
 * :mod:`repro.broker.sessions`  — session lifecycle + worker pool
-* :mod:`repro.broker.service`   — the negotiations themselves (clock
-  selection, per-session isolation, metrics, explain)
+* :mod:`repro.broker.service`   — the negotiations themselves
+  (per-session isolation, metrics, explain)
 * :mod:`repro.broker.router`    — HTTP route table (pure dispatch)
 * :mod:`repro.broker.server`    — stdlib ``http.server`` binding
 

@@ -13,34 +13,29 @@ One :class:`BrokerService` owns
 * a :class:`~repro.obs.metrics.MetricsRegistry` with the serving
   gauges/counters plus a latency reservoir for p50/p99.
 
-Each session gets a *private* network + clock (+ tracer, when the
-submit asks for ``"trace": true`` or the broker runs with live
-observability) and runs inside its own :mod:`contextvars` context with
-a private offer-id counter
-(:func:`repro.trading.commodity.offer_id_scope`), so concurrent
-sessions mint exactly the offer-id sequence a serial run would —
-which is what makes broker plans (including their ``offer#N``
+Each session gets a *private* network (+ tracer, when the submit asks
+for ``"trace": true`` or the broker runs with live observability) and
+runs inside its own :mod:`contextvars` context with a private offer-id
+counter (:func:`repro.trading.commodity.offer_id_scope`), so
+concurrent sessions mint exactly the offer-id sequence a serial run
+would — which is what makes broker plans (including their ``offer#N``
 provenance strings) equal to serial library runs.
 
-Two clock modes:
+Time is simulated, as in every library trade: each session drives its
+network's deterministic :class:`~repro.net.Simulator` on its worker
+thread, so link delays, compute charges and round deadlines cost no
+wall time, and a runaway session is bounded by the simulator's event
+budget.
 
-* ``"sim"`` — each session drives a private deterministic
-  :class:`~repro.net.Simulator` on its worker thread.  Negotiations
-  run as fast as the CPU allows; simulated time is still reported.
-* ``"async"`` — sessions share one real :mod:`asyncio` loop thread;
-  each gets its own :class:`~repro.net.AsyncClock`, so deadlines,
-  backoff, and fault timers elapse in wall time.
-
-Offer *arrival* order under wall time is jitter-dependent, so the
-broker negotiates through :class:`OrderedBiddingProtocol`, which sorts
-each round's collected offers by a canonical key before the buyer sees
-them — making the negotiation outcome clock-independent.
+The broker negotiates through :class:`OrderedBiddingProtocol`, which
+sorts each round's collected offers by a canonical key before the
+buyer sees them.  Serve plans depend on that sort: the library's
+:class:`~repro.trading.BiddingProtocol` in its place yields other,
+costlier plans on the ``benchmarks/e2e`` serve decks.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import re
 import threading
 import time
@@ -55,7 +50,7 @@ from repro.broker.sessions import (
     SessionSpec,
     SHED,
 )
-from repro.net import AsyncClock, Network, Simulator
+from repro.net import Network
 from repro.obs import Tracer, explain
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import ParseError, parse_query
@@ -81,12 +76,11 @@ class BrokerError(Exception):
 
 
 def _offer_order_key(offer: Offer) -> tuple:
-    """A total, clock-independent order over one round's offers.
+    """A total order over one round's offers that ignores arrival.
 
     Seller, offered query, coverage, shape, and price pin the
     commodity; the (session-scoped, deterministic) offer id breaks any
-    remaining tie.  Arrival order — the one thing wall-time jitter can
-    change — does not appear.
+    remaining tie.  Arrival order does not appear.
     """
     return (
         offer.seller,
@@ -101,13 +95,14 @@ def _offer_order_key(offer: Offer) -> tuple:
 class OrderedBiddingProtocol(BiddingProtocol):
     """Sealed-bid bidding with canonical offer ordering per round.
 
-    Under the simulator offers already arrive in a deterministic order;
-    under :class:`~repro.net.AsyncClock` wall-time jitter can reorder
-    them, and the buyer's offer table breaks value ties by arrival.
-    Sorting each round's offers by :func:`_offer_order_key` removes the
-    clock from the outcome — the broker uses this protocol for *both*
-    modes, so sim-clock and async-clock sessions produce identical
-    plans.
+    Offers arrive in a deterministic order either way; this protocol
+    hands them to the buyer sorted by :func:`_offer_order_key` instead,
+    and the buyer's offer table breaks value ties by that order.  Serve
+    plans depend on the sort: with the library's
+    :class:`~repro.trading.BiddingProtocol` in its place the
+    ``serve_closed`` deck's mean plan cost rises by 28 %.  Why the
+    arrival order prices worse has not been traced (the broker's offer
+    budget is unset by default, so it is not truncation).
     """
 
     name = "bidding"  # same wire behavior; only intake order changes
@@ -154,14 +149,15 @@ class BrokerService:
         world_config: Mapping | None = None,
         clock: str = "sim",
         admission: AdmissionConfig | None = None,
-        quiesce_timeout: float = 60.0,
         mqo: "MQOConfig | None" = None,
         live_obs: "LiveObsConfig | None" = None,
         retain_sessions: int = RETAIN_SESSIONS,
         retain_seconds: float = RETAIN_SECONDS,
     ):
-        if clock not in ("sim", "async"):
-            raise ValueError("clock must be 'sim' or 'async'")
+        # ``clock`` selects nothing: "sim" is accepted for callers that
+        # still pass it, until ROADMAP item 1(g) removes the keyword.
+        if clock != "sim":
+            raise ValueError("clock must be 'sim' (the only clock)")
         if retain_sessions < 1:
             raise ValueError("retain_sessions must be positive")
         if retain_seconds <= 0:
@@ -171,10 +167,8 @@ class BrokerService:
         self.world = world if world is not None else build_world(
             **dict(world_config or {})
         )
-        self.clock_mode = clock
         self.admission_config = admission or AdmissionConfig()
         self.controller = AdmissionController(self.admission_config)
-        self.quiesce_timeout = quiesce_timeout
         self.metrics = MetricsRegistry()
         self._started = time.monotonic()
         #: The live observability hub (``None`` unless opted in — the
@@ -197,10 +191,6 @@ class BrokerService:
         #: Cross-session cache accounting, accumulated from terminal
         #: sessions (per-session stats stay on each result).
         self._cache_totals = CacheStats()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        if clock == "async":
-            self._start_loop()
         self.manager = SessionManager(
             self._run_session, self.controller, on_terminal=self.note_terminal
         )
@@ -215,23 +205,6 @@ class BrokerService:
                 self.world, BUYER, self._dispatch, mqo
             )
         self._closed = False
-
-    # -- the shared asyncio loop (async mode only) ------------------------
-    def _start_loop(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def _run() -> None:
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(ready.set)
-            self._loop.run_forever()
-
-        self._loop_thread = threading.Thread(
-            target=_run, name="broker-loop", daemon=True
-        )
-        self._loop_thread.start()
-        if not ready.wait(timeout=10.0):
-            raise RuntimeError("broker event loop failed to start")
 
     # -- submission --------------------------------------------------------
     def parse_spec(self, payload: Mapping) -> SessionSpec:
@@ -297,22 +270,14 @@ class BrokerService:
 
     # -- the per-session negotiation --------------------------------------
     def _run_session(self, session: BrokerSession) -> None:
-        # A fresh context copy isolates the session's offer-id counter;
-        # asyncio callbacks snapshot the scheduling context, so the
-        # whole callback chain inherits it.
-        context = contextvars.copy_context()
         self._update_gauges()
-        context.run(self._negotiate, session)
+        self._negotiate(session)
 
     def _negotiate(self, session: BrokerSession) -> None:
+        # Each worker thread has its own contextvars context; the scope
+        # gives this session a fresh offer-id counter inside it.
         with offer_id_scope():
-            if self.clock_mode == "async":
-                clock = AsyncClock(
-                    self._loop, quiesce_timeout=self.quiesce_timeout
-                )
-            else:
-                clock = Simulator()
-            network = Network(self.world.model, clock=clock)
+            network = Network(self.world.model)
             tracer = None
             if session.spec.trace:
                 tracer = Tracer()
@@ -507,7 +472,6 @@ class BrokerService:
             for state in ("completed", "degraded", "failed")
         }
         return {
-            "clock": self.clock_mode,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "active_sessions": occupancy["running"],
             "queue_depth": occupancy["queued"],
@@ -549,12 +513,6 @@ class BrokerService:
         rollup = self._rollup()
 
         def broker_families(builder) -> None:
-            builder.gauge(
-                "broker_info",
-                "broker identity (labels carry the clock kind)",
-                1,
-                clock=rollup["clock"],
-            )
             builder.gauge(
                 "broker_uptime_seconds",
                 "seconds since the broker service started",
@@ -659,15 +617,10 @@ class BrokerService:
         return True
 
     def close(self) -> None:
-        """Stop workers, stop the loop thread; idempotent."""
+        """Stop the MQO scheduler and the workers; idempotent."""
         if self._closed:
             return
         self._closed = True
         if self.mqo is not None:
             self.mqo.close()
         self.manager.close()
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=10.0)
-            self._loop.close()

@@ -159,8 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     critpath.add_argument(
         "--json", action="store_true",
         help="emit the decomposition as JSON (byte-identical across "
-             "worker counts, clock implementations, and repeated "
-             "same-seed runs)",
+             "worker counts and repeated same-seed runs)",
     )
 
     diff_trace = sub.add_parser(
@@ -249,9 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicas", type=int, default=2)
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument(
-        "--clock", choices=("sim", "async"), default="async",
-        help="per-session clock: 'async' = real asyncio wall-time loop "
-             "(the serving default), 'sim' = deterministic simulator",
+        "--clock", choices=("sim",), default="sim",
+        help="accepted for compatibility and selects nothing: every "
+             "session runs under the deterministic simulator (removal "
+             "tracked as ROADMAP item 1(g))",
     )
     serve.add_argument(
         "--max-concurrent", type=int, default=8,
@@ -697,7 +697,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
             seed=args.seed,
         ),
-        clock=args.clock,
         admission=AdmissionConfig(
             max_concurrent=args.max_concurrent,
             queue_limit=args.queue_limit,
@@ -711,12 +710,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = start_server(
         service, host=args.host, port=args.port, verbose=args.verbose
     )
-    mode = (
-        f"clock={args.clock}"
-        + (", mqo=on" if args.mqo else "")
-        + (", live-obs=on" if args.live_obs else "")
+    modes = ", ".join(
+        name
+        for name, on in (("mqo=on", args.mqo), ("live-obs=on", args.live_obs))
+        if on
     )
-    print(f"broker listening on {server.url} ({mode})")
+    print(f"broker listening on {server.url}" + (f" ({modes})" if modes else ""))
     print(f"  POST {server.url}/sessions          submit a query")
     print(f"  GET  {server.url}/sessions/<id>     session status")
     print(f"  GET  {server.url}/sessions/<id>/result")

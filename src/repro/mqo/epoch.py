@@ -23,8 +23,8 @@ with nothing shared (or below ``min_batch``) dispatches its members
 un-seeded, which is byte-identical to the MQO-off path.
 
 Everything in the prepass is pure deterministic compute — no network,
-no clock — so seed offers (ids, prices, shares) are identical under
-the simulator and the asyncio clock at any concurrency.
+no clock — so seed offers (ids, prices, shares) are identical across
+repeated runs at any concurrency.
 """
 
 from __future__ import annotations

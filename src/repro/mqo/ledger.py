@@ -13,9 +13,8 @@ module owns the split-cost arithmetic and its audit trail:
   to each buyer: execution cost (the offer's ``true_cost``) divides by
   ``k``, shipping (the remainder of ``total_time``) is per-sharer.
 
-Shares are assigned by member submission order, which is deterministic
-under either clock backend — the reconciliation test asserts exactly
-that.
+Shares are assigned by member submission order, which is
+deterministic — the reconciliation test asserts exactly that.
 """
 
 from __future__ import annotations

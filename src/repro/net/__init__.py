@@ -8,13 +8,10 @@ distinct nodes work concurrently, and every message/byte is accounted so
 the experiments can report exchanged-message counts exactly.
 """
 
-from repro.net.clock import AsyncClock, Clock
 from repro.net.messages import Message, MessageKind
 from repro.net.simulator import Network, NetworkStats, Simulator, TimerHandle
 
 __all__ = [
-    "AsyncClock",
-    "Clock",
     "Message",
     "MessageKind",
     "Network",

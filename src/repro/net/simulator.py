@@ -37,7 +37,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.cost.model import CostModel
-from repro.net.clock import Clock, TimerHandle
 from repro.net.messages import Message, MessageKind
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -49,8 +48,35 @@ __all__ = ["Simulator", "Network", "NetworkStats", "TimerHandle"]
 Handler = Callable[["Network", Message], None]
 
 
-class Simulator(Clock):
-    """Minimal deterministic discrete-event loop (:class:`Clock`)."""
+class TimerHandle:
+    """Handle of a cancellable timer.
+
+    ``cancel()`` is idempotent and returns whether it took effect: a
+    timer that already fired (or was already cancelled) cannot be
+    cancelled again.  Cancellation is *lazy* — the heap entry stays put
+    and is discarded when popped, costing neither a budget slot nor a
+    clock advance.
+    """
+
+    __slots__ = ("cancelled", "fired")
+
+    def __init__(self) -> None:
+        self.cancelled = False
+        self.fired = False
+
+    @property
+    def active(self) -> bool:
+        return not (self.cancelled or self.fired)
+
+    def cancel(self) -> bool:
+        if not self.active:
+            return False
+        self.cancelled = True
+        return True
+
+
+class Simulator:
+    """Minimal deterministic discrete-event loop."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -89,8 +115,6 @@ class Simulator(Clock):
         insertion order: each lands at ``(now, next seq)``, so two past
         times scheduled in sequence fire in the order they were
         scheduled, regardless of which claimed the earlier time.
-        (:class:`~repro.net.clock.AsyncClock` always clamps — under wall
-        time an already-due absolute deadline is normal, not a bug.)
         """
         if when < self.now and not allow_past:
             raise ValueError(
@@ -231,16 +255,9 @@ class Network:
     heap entries per departure differs.
     """
 
-    def __init__(
-        self,
-        cost_model: CostModel | None = None,
-        clock: Clock | None = None,
-    ):
+    def __init__(self, cost_model: CostModel | None = None):
         self.cost_model = cost_model or CostModel()
-        # ``sim`` kept as the attribute name for compatibility; it is any
-        # Clock — the deterministic Simulator by default, an AsyncClock
-        # when the broker serves this network over a real event loop.
-        self.sim: Clock = clock if clock is not None else Simulator()
+        self.sim = Simulator()
         self.stats = NetworkStats()
         self.fault_injector: "FaultInjector | None" = None
         self.tracer: Tracer = NULL_TRACER
@@ -248,8 +265,8 @@ class Network:
         self._busy_until: dict[str, float] = {}
         # Monotone per-session Lamport counter for causal message ids.
         # Only consumed when a tracer is attached; sends happen inside
-        # handler bodies whose order both clocks pin down identically
-        # (the (when, seq) tie-break), so assigned ids are deterministic.
+        # handler bodies whose order the simulator pins down (the
+        # (when, seq) tie-break), so assigned ids are deterministic.
         self._next_causal_id = 0
         # Undelivered messages riding in a shared heap entry beyond its
         # first: added to the clock's entry count, the pending gauge
@@ -440,9 +457,8 @@ class Network:
         handler, in order; a recipient unregistered since the send is
         skipped.  ``lat`` is the transit delay the entry experienced —
         deterministic (cost model + seeded fault draws), which is what
-        lets the causal critical path be reconstructed identically under
-        wall-clock serving, where recorded timestamps are not simulated
-        times."""
+        the causal critical-path replay (:mod:`repro.obs.critpath`)
+        rebuilds link time from without reading a timestamp."""
         self._riders -= len(messages) - 1
         handlers = self._handlers
         tracer = self.tracer

@@ -16,13 +16,11 @@ rebuilds the resulting causality graph from the trace:
 
 The DAG is **timestamp-free**: it is assembled from ``(kind, name,
 args)`` only, sorted by causal id — the same contract as the
-deterministic JSONL exporter and the negotiation ledger.  Under the
-broker's :class:`AsyncClock` recorded timestamps are wall times, but
-the causal ids, per-delivery transit delays (``lat``), booked compute
-seconds and armed deadlines are all deterministic, so the DAG (and the
-critical path replayed from it, :mod:`repro.obs.critpath`) is
-byte-identical across clock implementations and repeated same-seed
-runs.
+deterministic JSONL exporter and the negotiation ledger.  The causal
+ids, per-delivery transit delays (``lat``), booked compute seconds and
+armed deadlines are all deterministic, so the DAG (and the critical
+path replayed from it, :mod:`repro.obs.critpath`) is byte-identical
+across repeated same-seed runs and broker worker counts.
 
 Build one from a live tracer or from a trace file::
 

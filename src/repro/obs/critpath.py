@@ -17,14 +17,12 @@ The analysis is a **deterministic forward replay** of the causal DAG
 (:mod:`repro.obs.causal`): it reconstructs the session timeline from
 deterministic quantities only — per-delivery transit delays (``lat``),
 booked compute seconds (``work``), and armed round deadlines — never
-from recorded timestamps.  Under the simulator the replay reproduces
-the simulated clock exactly (tests assert the reconstructed total
-equals the traced ``trade.optimize`` duration); under the broker's
-wall-clock :class:`~repro.net.clock.AsyncClock` the recorded times are
-non-deterministic wall times, but the replay still yields the
-*simulated-cost-model* critical path — byte-identical to the one the
-simulator produces for the same seed, which is what makes it a stable
-serving-observability surface.
+from recorded timestamps.  The replay reproduces the simulated clock
+exactly (tests assert the reconstructed total equals the traced
+``trade.optimize`` duration), and because it reads no timestamp it is
+byte-identical across repeated same-seed runs and broker worker
+counts, which is what makes it a stable serving-observability
+surface.
 
 Phase attribution follows the *binding chain*: within each round, the
 chain of causally linked events that determined when the round closed
@@ -178,9 +176,9 @@ def _skeleton(events: Iterable[tuple[str, str, str, dict]]) -> list[tuple]:
 
     Only rows emitted sequentially by the buyer's driver thread are
     consulted (span rows — appended at *open* time — and buyer.compute
-    intervals); rows emitted from message handlers, whose record
-    interleaving may differ under wall-clock serving, are reached
-    through the causal DAG instead.  Returns a timeline of
+    intervals); rows emitted from message handlers are reached through
+    the causal DAG instead, which orders them by causal id, not by
+    record order.  Returns a timeline of
     ``("trade", trade)`` / ``("reassembly", {site, work})`` entries.
     """
     timeline: list[tuple] = []

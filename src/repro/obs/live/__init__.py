@@ -10,7 +10,7 @@ whole-run traces in memory.
   quantile sketch over fixed log-spaced buckets.  All state is integer
   bucket counts plus an integer-scaled sum, so aggregation is
   order-independent: registries built from sessions completing in any
-  interleaving (thread counts, clock kinds) are byte-identical.
+  interleaving (any thread count) are byte-identical.
 * :class:`SiteStatsRegistry` — per-site win/loss counts, settled-price
   and valuation sketches, offer-latency sketches, and RFB
   fanout/response accounting, consumed from decision ledgers and trace

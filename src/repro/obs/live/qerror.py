@@ -18,8 +18,8 @@ re-trading ROADMAP item needs: re-optimize when the running plan's cell
 is known-miscalibrated.
 
 Sampling is deterministic (numeric session id modulo the rate), so
-same-seed runs sample the same sessions and snapshots are byte-identical
-across clocks.
+same-seed runs sample the same sessions and snapshots are
+byte-identical.
 """
 
 from __future__ import annotations

@@ -2,11 +2,10 @@
 
 The live registries aggregate values (settled prices, valuations,
 simulated offer latencies) from sessions that complete in a
-nondeterministic interleaving — worker threads race, and the async
-clock finishes sessions in wall-time order.  A byte-identical snapshot
-contract therefore rules out any state whose value depends on insertion
-order, which includes a plain float accumulator (float addition is not
-associative).
+nondeterministic interleaving — worker threads race.  A byte-identical
+snapshot contract therefore rules out any state whose value depends on
+insertion order, which includes a plain float accumulator (float
+addition is not associative).
 
 The sketch keeps only order-independent state:
 

@@ -61,10 +61,8 @@ def next_offer_id() -> int:
 def offer_id_scope(start: int = 1) -> Iterator[None]:
     """Give the current execution context its own offer-id counter.
 
-    Everything minted inside the ``with`` block — including asyncio
-    callbacks scheduled from it, which snapshot the caller's context —
-    draws from a private ``count(start)``; the module-global counter is
-    untouched.  Used by the broker to isolate concurrent sessions.
+    Everything minted inside the ``with`` block draws from a private
+    ``count(start)``; the module-global counter is untouched.  Used by the broker to isolate concurrent sessions.
     """
     token = _scoped_offer_ids.set(itertools.count(start))
     try:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import build_world, run_qt
+from repro.bench.harness import build_world, run_qt, trade
 from repro.broker import (
     COMPLETED,
     DEGRADED,
@@ -198,42 +198,29 @@ class TestBrokerDeterminism:
             assert payload["plan_cost"] == measurement.plan_cost
             assert payload["plan"] == measurement.plan_explain
 
-    def test_async_clock_matches_sim_clock(self, arrivals):
-        """Wall-time serving produces the simulator's exact plans."""
-        sim = make_service(clock="sim")
-        asy = make_service(clock="async")
-        try:
-            sql = arrivals[0].query.sql()
-            sim_payload = serve_one(sim, sql)
-            async_payload = serve_one(asy, sql)
-        finally:
-            sim.close()
-            asy.close()
-        assert plan_signature(sim_payload) == plan_signature(async_payload)
-
-    def test_critpath_identical_across_clocks(self, arrivals):
+    def test_critpath_identical_across_services(self, arrivals):
         """One session per service (no epoch sharing): the causal
-        critical-path decomposition is clock-independent to the byte,
-        and its phases tile the session's simulated time."""
-        sim = make_service(clock="sim")
-        asy = make_service(clock="async")
+        critical-path decomposition repeats to the byte on a fresh
+        service, and its phases tile the session's simulated time."""
+        first = make_service()
+        second = make_service()
         try:
             sql = arrivals[0].query.sql()
-            sim_session = submit_sql(sim, sql, trace=True)
-            asy_session = submit_sql(asy, sql, trace=True)
-            assert sim_session.wait(timeout=120.0)
-            assert asy_session.wait(timeout=120.0)
-            sim_cp = sim.critpath_payload(sim_session.session_id)
-            asy_cp = asy.critpath_payload(asy_session.session_id)
+            first_session = submit_sql(first, sql, trace=True)
+            second_session = submit_sql(second, sql, trace=True)
+            assert first_session.wait(timeout=120.0)
+            assert second_session.wait(timeout=120.0)
+            first_cp = first.critpath_payload(first_session.session_id)
+            second_cp = second.critpath_payload(second_session.session_id)
         finally:
-            sim.close()
-            asy.close()
-        assert json.dumps(sim_cp, sort_keys=True) == json.dumps(
-            asy_cp, sort_keys=True
+            first.close()
+            second.close()
+        assert json.dumps(first_cp, sort_keys=True) == json.dumps(
+            second_cp, sort_keys=True
         )
-        assert sim_cp["total"] > 0.0
-        assert sum(sim_cp["phases"].values()) == pytest.approx(
-            sim_cp["total"], rel=1e-9
+        assert first_cp["total"] > 0.0
+        assert sum(first_cp["phases"].values()) == pytest.approx(
+            first_cp["total"], rel=1e-9
         )
 
     def test_sessions_share_the_offer_cache(self, arrivals):
@@ -254,6 +241,57 @@ def serve_one(service: BrokerService, sql: str, **payload) -> dict:
     session = submit_sql(service, sql, **payload)
     assert session.wait(timeout=120.0)
     return service.result_payload(session.session_id)
+
+
+class TestSimulatedTime:
+    """A broker session waits on nothing real: deadlines are simulated
+    timers and the simulator is the only clock."""
+
+    def test_deadline_session_equals_library_trade(self, arrivals):
+        # 0.02 simulated seconds is short enough that round deadlines
+        # fire and RFBs are re-issued, so the timers are exercised.
+        timeout = 0.02
+        query = arrivals[0].query
+        service = make_service()
+        try:
+            session = submit_sql(service, query.sql(), timeout=timeout)
+            assert session.wait(timeout=120.0)
+            payload = service.result_payload(session.session_id)
+        finally:
+            service.close()
+        with offer_id_scope():
+            library = trade(
+                build_world(**WORLD),
+                query,
+                protocol=OrderedBiddingProtocol(timeout=timeout),
+            )
+        assert library.found and payload["found"]
+        assert library.resilience.timeouts_fired > 0
+        assert session.result.resilience.timeouts_fired == (
+            library.resilience.timeouts_fired
+        )
+        assert payload["plan"] == library.best.plan.explain()
+        assert payload["plan_cost"] == library.plan_cost
+        assert payload["messages"] == library.messages.messages
+        assert payload["optimization_time"] == library.optimization_time
+
+    def test_no_event_loop_thread(self, arrivals):
+        service = make_service()
+        try:
+            serve_one(service, arrivals[0].query.sql())
+            names = {thread.name for thread in threading.enumerate()}
+        finally:
+            service.close()
+        assert "broker-loop" not in names
+
+    def test_only_the_simulator_clock_is_accepted(self):
+        from repro.cli import main
+
+        with pytest.raises(ValueError):
+            make_service(clock="async")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--clock", "async"])
+        assert exit_info.value.code == 2
 
 
 class TestBudgets:
@@ -652,7 +690,7 @@ class TestHTTPServer:
                 sys.executable, "-c",
                 f"import sys; sys.path.insert(0, {src!r}); "
                 "from repro.cli import main; "
-                "sys.exit(main(['serve', '--clock', 'sim', '--port', '0', "
+                "sys.exit(main(['serve', '--port', '0', "
                 "'--nodes', '6', '--relations', '4']))",
             ],
             stdout=subprocess.PIPE, text=True,

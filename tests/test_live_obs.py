@@ -2,9 +2,8 @@
 
 The determinism contract under test: with live observability enabled,
 the SiteStatsRegistry and q-error snapshots are byte-identical across
-repeated same-seed broker runs and across the Simulator vs AsyncClock,
-at the default worker count — session completion interleaving must not
-leak into the deterministic surfaces.
+repeated same-seed broker runs at the default worker count — session
+completion interleaving must not leak into the deterministic surfaces.
 """
 
 from __future__ import annotations
@@ -37,14 +36,13 @@ def _arrivals():
     ))
 
 
-def _run_broker(clock: str) -> tuple[str, BrokerService]:
+def _run_broker() -> tuple[str, BrokerService]:
     """One drained live-obs broker run; returns (snapshot json, service).
 
     The caller owns closing the service.
     """
     service = BrokerService(
         world_config=WORLD,
-        clock=clock,
         live_obs=LiveObsConfig(qerror_sample_every=2),
     )
     for arrival in _arrivals():
@@ -57,14 +55,11 @@ def _run_broker(clock: str) -> tuple[str, BrokerService]:
 
 @pytest.fixture(scope="module")
 def broker_runs():
-    """Snapshots of two sim runs and one async run, plus a live service."""
-    snap_sim_a, service_a = _run_broker("sim")
+    """Snapshots of two runs, plus the second run's live service."""
+    snap_a, service_a = _run_broker()
     service_a.close()
-    snap_sim_b, service_b = _run_broker("sim")
-    service_b.close()
-    snap_async, service = _run_broker("async")
-    yield {"sim_a": snap_sim_a, "sim_b": snap_sim_b, "async": snap_async,
-           "service": service}
+    snap_b, service = _run_broker()
+    yield {"sim_a": snap_a, "sim_b": snap_b, "service": service}
     service.close()
 
 
@@ -145,9 +140,6 @@ class TestRegistryDeterminism:
     def test_same_seed_runs_byte_identical(self, broker_runs):
         assert broker_runs["sim_a"] == broker_runs["sim_b"]
 
-    def test_sim_vs_async_byte_identical(self, broker_runs):
-        assert broker_runs["sim_a"] == broker_runs["async"]
-
     def test_snapshot_restore_roundtrip(self, broker_runs):
         service = broker_runs["service"]
         snapshot = service.live.registry.snapshot()
@@ -175,8 +167,8 @@ class TestRegistryDeterminism:
         # effort is now the *nominal* cost-model figure stamped on the
         # ledger's priced nodes (enumerated plans x seconds-per-plan),
         # independent of cache interleaving — so it lives on the
-        # byte-identity snapshot surface (the sim-vs-async and
-        # same-seed identity tests above therefore pin it too), and
+        # byte-identity snapshot surface (the same-seed identity test
+        # above therefore pins it too), and
         # any site that priced an offer shows non-zero effort.
         snapshot = json.loads(broker_runs["sim_a"])
         priced_sites = 0
@@ -224,8 +216,8 @@ class TestQErrorObservatory:
 
     def test_qerror_snapshot_deterministic_across_runs(self, broker_runs):
         qerr_a = json.loads(broker_runs["sim_a"])["qerror"]
-        qerr_async = json.loads(broker_runs["async"])["qerror"]
-        assert qerr_a == qerr_async
+        qerr_b = json.loads(broker_runs["sim_b"])["qerror"]
+        assert qerr_a == qerr_b
         assert qerr_a["sampled_sessions"] > 0
         assert qerr_a["nodes_observed"] > 0
         assert qerr_a["cells"]
@@ -295,13 +287,23 @@ class TestPrometheusExposition:
             assert snap.value(
                 "repro_broker_latency_quantile_ms", quantile=quantile
             ) == payload["latency_ms"][quantile]
-        info = snap.series("repro_broker_info")
-        assert [dict(k)["clock"] for k in info] == [payload["clock"]]
+        assert snap.value("repro_broker_sessions_queued") == payload[
+            "queue_depth"
+        ]
+        for outcome in ("hits", "misses", "intern_hits"):
+            assert snap.value(
+                "repro_broker_cache_lookups_total", outcome=outcome
+            ) == payload["cache"][outcome]
+        assert snap.value("repro_broker_cache_hit_rate") == payload["cache"][
+            "hit_rate"
+        ]
+        # No family without a JSON field: the clock is not reported.
+        assert not snap.series("repro_broker_info")
 
     def test_json_rollup_shape(self, broker_runs):
         payload = broker_runs["service"].metrics_payload()
         assert payload["uptime_s"] > 0
-        assert payload["clock"] == "async"
+        assert "clock" not in payload
         assert set(payload["states"]) == {
             "active", "queued", "shed", "completed", "degraded", "failed"
         }
@@ -463,7 +465,7 @@ class TestRouterEndpoints:
         assert status == 400 and "since" in error["error"]
 
     def test_live_endpoints_404_when_disabled(self):
-        service = BrokerService(world_config=WORLD, clock="sim")
+        service = BrokerService(world_config=WORLD)
         try:
             router = Router(service)
             for path in ("/sites", "/events"):

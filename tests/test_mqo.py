@@ -191,7 +191,7 @@ class TestAmortization:
 
 
 # ----------------------------------------------------------------------
-# MQO-off byte-identity: broker == library, either clock
+# MQO-off byte-identity: broker == library
 # ----------------------------------------------------------------------
 class TestMQOOffByteIdentity:
     def library_ledger(self, query) -> str:
@@ -243,12 +243,6 @@ class TestMQOOffByteIdentity:
             service.close()
         assert ledger == self.library_ledger(query)
 
-    def test_async_clock_mqo_off_identical(self, arrivals):
-        query = arrivals[0].query
-        assert self.broker_ledger(query, clock="async") == (
-            self.library_ledger(query)
-        )
-
     def test_lone_session_in_mqo_broker_is_unseeded_and_identical(
         self, arrivals
     ):
@@ -269,8 +263,8 @@ class TestMQOOffByteIdentity:
 # The epoch scheduler end to end
 # ----------------------------------------------------------------------
 class TestEpochScheduler:
-    def run_broker(self, arrivals, clock="sim", mqo=None):
-        service = make_service(clock=clock, mqo=mqo)
+    def run_broker(self, arrivals, mqo=None):
+        service = make_service(mqo=mqo)
         try:
             sessions = serve_all(service, arrivals)
             results = [s.result for s in sessions]
@@ -323,20 +317,20 @@ class TestEpochScheduler:
             assert sum(record.shares) == record.full_money
             assert len(record.shares) == len(record.sharers) >= 2
 
-    def test_deterministic_across_clock_backends(self, arrivals):
-        """Seeds, shares, and plans are clock-independent."""
+    def test_deterministic_across_runs(self, arrivals):
+        """Seeds, shares, and plans repeat on a fresh service."""
         config = MQOConfig(epoch_size=len(arrivals), epoch_window=5.0)
-        _, sim_metrics, sim_seeds, sim_plans = self.run_broker(
-            arrivals, clock="sim", mqo=config
+        _, first_metrics, first_seeds, first_plans = self.run_broker(
+            arrivals, mqo=config
         )
-        _, async_metrics, async_seeds, async_plans = self.run_broker(
-            arrivals, clock="async", mqo=config
+        _, second_metrics, second_seeds, second_plans = self.run_broker(
+            arrivals, mqo=config
         )
-        assert sim_seeds == async_seeds
-        assert sim_plans == async_plans
+        assert first_seeds == second_seeds
+        assert first_plans == second_plans
         assert (
-            sim_metrics["mqo"]["shared_pricing"]
-            == async_metrics["mqo"]["shared_pricing"]
+            first_metrics["mqo"]["shared_pricing"]
+            == second_metrics["mqo"]["shared_pricing"]
         )
 
     def test_bursty_sessions_all_complete_in_epochs(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cost import CostModel, NetworkParameters
 from repro.faults import CrashWindow, FaultInjector, FaultPlan
-from repro.net import AsyncClock, Message, MessageKind, Network, Simulator
+from repro.net import Message, MessageKind, Network, Simulator
 from repro.obs.export import jsonl_lines
 from repro.obs.tracer import Tracer
 
@@ -345,130 +345,6 @@ class TestScheduleAtPastGuard:
         sim.run_until_idle()
         assert log == ["first", "second", "third"]
         assert sim.now == 3.0
-
-
-@pytest.fixture()
-def loop():
-    """A real asyncio loop running on a background thread."""
-    import asyncio
-    import threading
-
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    loop.call_soon(started.set)
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    assert started.wait(timeout=10.0)
-    yield loop
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10.0)
-    loop.close()
-
-
-class TestAsyncClock:
-    """The wall-time clock honors the simulator's contract."""
-
-    def test_events_fire_in_delay_order(self, loop):
-        clock = AsyncClock(loop)
-        log = []
-        clock.schedule(0.03, lambda: log.append("c"))
-        clock.schedule(0.01, lambda: log.append("a"))
-        clock.schedule(0.02, lambda: log.append("b"))
-        clock.run_until_idle()
-        assert log == ["a", "b", "c"]
-        assert clock.events_processed == 3
-        assert clock.pending == 0
-
-    def test_equal_deadlines_fire_in_insertion_order(self, loop):
-        clock = AsyncClock(loop)
-        log = []
-        deadline = clock.now + 0.02
-        for i in range(5):
-            clock.schedule_at(deadline, lambda i=i: log.append(i))
-        clock.run_until_idle()
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_past_deadline_clamps_instead_of_raising(self, loop):
-        clock = AsyncClock(loop)
-        log = []
-        # Wall time has advanced past 0.0 by now; the simulator would
-        # demand allow_past=True, the wall clock just clamps.
-        clock.schedule_at(0.0, lambda: log.append(clock.now))
-        clock.run_until_idle()
-        assert log and log[0] >= 0.0
-
-    def test_negative_delay_rejected(self, loop):
-        clock = AsyncClock(loop)
-        with pytest.raises(ValueError):
-            clock.schedule(-0.1, lambda: None)
-        with pytest.raises(ValueError):
-            clock.schedule_cancellable(-0.1, lambda: None)
-
-    def test_cancelled_timer_does_not_fire(self, loop):
-        clock = AsyncClock(loop)
-        fired = []
-        handle = clock.schedule_cancellable(0.02, lambda: fired.append(1))
-        assert handle.cancel()
-        assert not handle.cancel()  # idempotent
-        clock.run_until_idle()
-        assert fired == []
-
-    def test_cancelled_earliest_deadline_unblocks_idle(self, loop):
-        import time
-
-        clock = AsyncClock(loop, quiesce_timeout=5.0)
-        handle = clock.schedule_cancellable(30.0, lambda: None)
-        handle.cancel()
-        started = time.monotonic()
-        clock.run_until_idle()
-        # Idle must be declared immediately, not after the dead
-        # timer's 30s deadline (nor the 5s quiesce timeout).
-        assert time.monotonic() - started < 2.0
-
-    def test_callback_error_surfaces_in_run_until_idle(self, loop):
-        clock = AsyncClock(loop)
-
-        def boom():
-            raise RuntimeError("callback exploded")
-
-        clock.schedule(0.01, boom)
-        with pytest.raises(RuntimeError, match="callback exploded"):
-            clock.run_until_idle()
-        clock.run_until_idle()  # error is consumed, clock is reusable
-
-    def test_quiesce_timeout_raises(self, loop):
-        clock = AsyncClock(loop, quiesce_timeout=0.05)
-        handle = clock.schedule_cancellable(30.0, lambda: None)
-        with pytest.raises(RuntimeError, match="did not quiesce"):
-            clock.run_until_idle()
-        handle.cancel()
-
-    def test_requires_running_loop(self):
-        import asyncio
-
-        idle_loop = asyncio.new_event_loop()
-        try:
-            clock = AsyncClock(idle_loop)
-            with pytest.raises(RuntimeError, match="running event loop"):
-                clock.run_until_idle()
-        finally:
-            idle_loop.close()
-
-    def test_network_runs_on_an_async_clock(self, loop):
-        # The Network facade accepts any Clock: a message round-trip
-        # scheduled through it drains exactly as under the simulator.
-        model = CostModel(NetworkParameters())
-        network = Network(model, clock=AsyncClock(loop))
-        received = []
-        network.register("a", lambda net, msg: None)
-        network.register("b", lambda net, msg: received.append(msg))
-        network.send(
-            Message(
-                kind=MessageKind.RFB, sender="a", recipient="b", payload=None
-            )
-        )
-        network.run()
-        assert len(received) == 1
 
 
 # ----------------------------------------------------------------------
