@@ -107,8 +107,8 @@ class OrderedBiddingProtocol(BiddingProtocol):
 
     name = "bidding"  # same wire behavior; only intake order changes
 
-    def _solicit(self, network, buyer, sellers, rfb) -> SolicitResult:
-        result = super()._solicit(network, buyer, sellers, rfb)
+    def solicit(self, network, buyer, sellers, rfb) -> SolicitResult:
+        result = super().solicit(network, buyer, sellers, rfb)
         result.offers.sort(key=_offer_order_key)
         return result
 

@@ -98,42 +98,38 @@ class FaultInjector:
         if self.is_down(message.sender, depart):
             self.log.dropped_sender_down += 1
             network.stats.dropped += 1
-            if tracer.enabled:
-                tracer.event(
-                    "fault.drop", "fault", site=message.sender,
-                    reason="sender_down", kind=message.kind.value,
-                    mid=message.mid,
-                )
+            tracer.event(
+                "fault.drop", "fault", site=message.sender,
+                reason="sender_down", kind=message.kind.value,
+                mid=message.mid,
+            )
             return []
         link = self.plan.link_for(message.sender, message.recipient)
         if link.drop_rate > 0 and self.rng.random() < link.drop_rate:
             self.log.dropped_link += 1
             network.stats.dropped += 1
-            if tracer.enabled:
-                tracer.event(
-                    "fault.drop", "fault", site=message.recipient,
-                    reason="link", kind=message.kind.value,
-                    mid=message.mid,
-                )
+            tracer.event(
+                "fault.drop", "fault", site=message.recipient,
+                reason="link", kind=message.kind.value,
+                mid=message.mid,
+            )
             return []
         delay = network.message_delay(message)
         if link.delay_spike_rate > 0 and self.rng.random() < link.delay_spike_rate:
             self.log.delay_spikes += 1
             delay += link.delay_spike_seconds * self.rng.uniform(1.0, 2.0)
-            if tracer.enabled:
-                tracer.event(
-                    "fault.delay_spike", "fault", site=message.recipient,
-                    kind=message.kind.value, mid=message.mid,
-                )
+            tracer.event(
+                "fault.delay_spike", "fault", site=message.recipient,
+                kind=message.kind.value, mid=message.mid,
+            )
         delays = [delay]
         if link.duplicate_rate > 0 and self.rng.random() < link.duplicate_rate:
             self.log.duplicated += 1
             network.stats.duplicated += 1
-            if tracer.enabled:
-                tracer.event(
-                    "fault.duplicate", "fault", site=message.recipient,
-                    kind=message.kind.value, mid=message.mid,
-                )
+            tracer.event(
+                "fault.duplicate", "fault", site=message.recipient,
+                kind=message.kind.value, mid=message.mid,
+            )
             # The duplicate takes its own (slower) trip over the link.
             delays.append(
                 delay + network.message_delay(message) * self.rng.uniform(0.5, 1.5)
@@ -143,12 +139,11 @@ class FaultInjector:
             if self.is_down(message.recipient, depart + lat):
                 self.log.dropped_recipient_down += 1
                 network.stats.dropped += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "fault.drop", "fault", site=message.recipient,
-                        reason="recipient_down", kind=message.kind.value,
-                        mid=message.mid,
-                    )
+                tracer.event(
+                    "fault.drop", "fault", site=message.recipient,
+                    reason="recipient_down", kind=message.kind.value,
+                    mid=message.mid,
+                )
                 continue
             delivered.append(lat)
         return delivered

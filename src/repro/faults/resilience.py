@@ -101,11 +101,10 @@ class ResilientTrader:
             if result.best is not None:
                 break
             summary.renegotiations += 1
-            if tracer.enabled:
-                tracer.event(
-                    "resilience.retrade", "resilience", site=trader.buyer,
-                    attempt=attempt + 1, reason="no_plan",
-                )
+            tracer.event(
+                "resilience.retrade", "resilience", site=trader.buyer,
+                attempt=attempt + 1, reason="no_plan",
+            )
             down_now = {
                 node
                 for node in trader.sellers
@@ -160,85 +159,73 @@ class ResilientTrader:
         excluded: set[str],
         summary: ResilienceSummary,
     ) -> TradingResult:
-        tracer = self.trader.network.tracer
-        if not tracer.enabled:
-            return self._renegotiate_inner(query, prior, excluded, summary)
-        before = summary.contracts_voided
+        trader = self.trader
+        tracer = trader.network.tracer
         with tracer.span(
-            "resilience.renegotiate", "resilience", site=self.trader.buyer,
+            "resilience.renegotiate", "resilience", site=trader.buyer,
             excluded=len(excluded),
         ) as span:
-            result = self._renegotiate_inner(query, prior, excluded, summary)
-            span.set(voided=summary.contracts_voided - before)
-            return result
+            summary.renegotiations += 1
 
-    def _renegotiate_inner(
-        self,
-        query: SPJQuery,
-        prior: TradingResult,
-        excluded: set[str],
-        summary: ResilienceSummary,
-    ) -> TradingResult:
-        trader = self.trader
-        net = trader.network
-        summary.renegotiations += 1
-
-        voided = [c for c in prior.contracts if c.seller in excluded]
-        surviving = [c for c in prior.contracts if c.seller not in excluded]
-        summary.contracts_voided += len(voided)
-        summary.voided.extend(c.void() for c in voided)
-        if net.tracer.enabled:
+            voided = [c for c in prior.contracts if c.seller in excluded]
+            surviving = [
+                c for c in prior.contracts if c.seller not in excluded
+            ]
+            summary.contracts_voided += len(voided)
+            summary.voided.extend(c.void() for c in voided)
+            span.set(voided=len(voided))
             for contract in voided:
-                net.tracer.event(
+                tracer.event(
                     "ledger.void", "decision", site=trader.buyer,
                     offer=contract.offer.offer_id,
                     seller=contract.seller,
                     request=contract.offer.request_key,
                 )
-        self._notify_voided(voided)
+            self._notify_voided(voided)
 
-        # Re-trade each uncovered subquery against the surviving sites.
-        replacements: list[Contract] = []
-        covered_all = True
-        for contract in voided:
-            sub = self._subtrade(contract.offer.query, excluded)
-            summary.timeouts_fired += sub.resilience.timeouts_fired
-            summary.retries += sub.resilience.retries
-            if sub.best is None or not sub.contracts:
-                covered_all = False
-                continue
-            replacements.extend(sub.contracts)
+            # Re-trade each uncovered subquery against the surviving
+            # sites.
+            replacements: list[Contract] = []
+            covered_all = True
+            for contract in voided:
+                sub = self._subtrade(contract.offer.query, excluded)
+                summary.timeouts_fired += sub.resilience.timeouts_fired
+                summary.retries += sub.resilience.retries
+                if sub.best is None or not sub.contracts:
+                    covered_all = False
+                    continue
+                replacements.extend(sub.contracts)
 
-        best: CandidatePlan | None = None
-        contracts_pool = surviving + replacements
-        offers = [c.offer for c in contracts_pool]
-        if covered_all and offers:
-            best = self._reassemble(query, offers)
+            best: CandidatePlan | None = None
+            contracts_pool = surviving + replacements
+            offers = [c.offer for c in contracts_pool]
+            if covered_all and offers:
+                best = self._reassemble(query, offers)
 
-        if best is None:
-            # Tier 3: the hole could not be patched at the old contract
-            # granularity — re-trade the whole query among survivors.
-            if net.tracer.enabled:
-                net.tracer.event(
+            if best is None:
+                # Tier 3: the hole could not be patched at the old
+                # contract granularity — re-trade the whole query among
+                # survivors.
+                tracer.event(
                     "resilience.escalate", "resilience", site=trader.buyer,
                     tier="full_retrade",
                 )
-            full = trader.retrade_after_failure(query, excluded)
-            summary.timeouts_fired += full.resilience.timeouts_fired
-            summary.retries += full.resilience.retries
-            prior.best = full.best
-            prior.contracts = full.contracts
-            return prior
+                full = trader.retrade_after_failure(query, excluded)
+                summary.timeouts_fired += full.resilience.timeouts_fired
+                summary.retries += full.resilience.retries
+                prior.best = full.best
+                prior.contracts = full.contracts
+                return prior
 
-        winning_ids = {leaf.offer_id for leaf in best.purchased()}
-        by_offer = {c.offer.offer_id: c for c in contracts_pool}
-        prior.best = best
-        prior.contracts = [
-            by_offer[offer_id]
-            for offer_id in sorted(winning_ids)
-            if offer_id in by_offer
-        ]
-        return prior
+            winning_ids = {leaf.offer_id for leaf in best.purchased()}
+            by_offer = {c.offer.offer_id: c for c in contracts_pool}
+            prior.best = best
+            prior.contracts = [
+                by_offer[offer_id]
+                for offer_id in sorted(winning_ids)
+                if offer_id in by_offer
+            ]
+            return prior
 
     # ------------------------------------------------------------------
     def _notify_voided(self, voided: list[Contract]) -> None:
@@ -285,12 +272,11 @@ class ResilientTrader:
         self._charge(result)
         if result.best is not None and result.enumerated <= self.policy.dp_budget:
             return result.best
-        if net.tracer.enabled:
-            net.tracer.event(
-                "resilience.escalate", "resilience", site=trader.buyer,
-                tier="greedy", enumerated=result.enumerated,
-                over_budget=result.enumerated > self.policy.dp_budget,
-            )
+        net.tracer.event(
+            "resilience.escalate", "resilience", site=trader.buyer,
+            tier="greedy", enumerated=result.enumerated,
+            over_budget=result.enumerated > self.policy.dp_budget,
+        )
         greedy = self._greedy_generator()
         greedy_result = greedy.generate(query, offers)
         self._charge(greedy_result)
@@ -319,13 +305,12 @@ class ResilientTrader:
         net = trader.network
         work = result.enumerated * trader.plan_generator.seconds_per_plan
         finish = net.compute(trader.buyer, work)
-        if net.tracer.enabled:
-            # ``reassembly=True`` keeps the critical-path replay from
-            # mistaking this for a trading round's DP pass.
-            net.tracer.interval(
-                "buyer.compute", "trading", site=trader.buyer,
-                sim_start=finish - work, sim_end=finish,
-                work=work, enumerated=result.enumerated, reassembly=True,
-            )
+        # ``reassembly=True`` keeps the critical-path replay from
+        # mistaking this for a trading round's DP pass.
+        net.tracer.interval(
+            "buyer.compute", "trading", site=trader.buyer,
+            sim_start=finish - work, sim_end=finish,
+            work=work, enumerated=result.enumerated, reassembly=True,
+        )
         net.sim.schedule_at(finish, lambda: None)
         net.run()

@@ -11,8 +11,10 @@ the DAG the paper's negotiation walks:
          →  voids and renegotiations (resilience tiers)
 
 The trading layer emits compact ``ledger.*`` decision events (category
-``"decision"``) at every choice point, all guarded by ``tracer.enabled``
-so the ledger is compiled out when tracing is off.  A
+``"decision"``) at every choice point; a disabled tracer records none of
+them, and the ones that take work to build (the seller's pricing
+lineage, the buyer's per-offer intake verdicts) are skipped behind
+``tracer.enabled``.  A
 :class:`NegotiationLedger` is rebuilt *deterministically* from the
 record stream: nothing derived from raw sequence numbers or wall
 clocks is kept, so two runs of the same negotiation yield byte-identical

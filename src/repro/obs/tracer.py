@@ -14,10 +14,16 @@ each carrying *both* clocks:
 
 Overhead contract
 -----------------
-Tracing is off by default.  Every instrumentation point in the hot
-paths is guarded by ``if tracer.enabled:`` against the shared
-:data:`NULL_TRACER` singleton, so a disabled tracer costs one attribute
-load and one branch — nothing is allocated, no clock is read.
+Tracing is off by default, and a disabled tracer allocates nothing and
+reads no clock.  Spans open unconditionally: :meth:`Tracer.span` hands
+back the shared no-op ``_NULL_SPAN`` when disabled, so each layer's
+entry point is one method running inside ``with tracer.span(...)``
+(its keyword args must each cost O(1), because they are evaluated
+either way).  :meth:`Tracer.event`, :meth:`~Tracer.interval` and
+:meth:`~Tracer.gauge` return at once when disabled.  An
+``if tracer.enabled:`` guard stays only where it skips work (building
+args in a loop, minting causal ids, bookkeeping kept only for the
+trace) or sits on a per-message, per-lookup or per-reply path.
 """
 
 from __future__ import annotations
@@ -118,8 +124,9 @@ class Tracer:
     Parameters
     ----------
     enabled:
-        A disabled tracer never records and never reads a clock; all
-        hot-path call sites additionally guard on :attr:`enabled`.
+        A disabled tracer never records and never reads a clock; call
+        sites guard on :attr:`enabled` only to skip work or on
+        per-message, per-lookup and per-reply paths.
     sim:
         Optional simulated-clock source (any object with a ``now``
         attribute, e.g. :class:`~repro.net.simulator.Simulator`).
@@ -238,6 +245,6 @@ class Tracer:
 
 
 #: Shared disabled tracer: the default value of every ``tracer``
-#: attribute in the system, so hot paths can always branch on
+#: attribute in the system, so call sites open spans and branch on
 #: ``tracer.enabled`` without a ``None`` check.
 NULL_TRACER = Tracer(enabled=False)

@@ -347,6 +347,16 @@ class PlanGenResult:
         return self.best is not None
 
 
+def _closed(span, result: PlanGenResult) -> PlanGenResult:
+    """Stamp one plan-generation pass's outcome on its span."""
+    span.set(
+        enumerated=result.enumerated,
+        candidates=len(result.candidates),
+        found=result.found,
+    )
+    return result
+
+
 class BuyerPlanGenerator:
     """Combines winning offers into candidate execution plans."""
 
@@ -417,182 +427,173 @@ class BuyerPlanGenerator:
         if required is None:
             required = self.required_coverage(query)
         tracer = self.tracer
-        if not tracer.enabled:
-            return self._generate(query, offers, required, prior)
         with tracer.span(
             "buyer.plangen", "trading", site=self.buyer_site,
             mode=self.mode, offers=len(offers),
         ) as span:
-            result = self._generate(query, offers, required, prior)
-            span.set(
-                enumerated=result.enumerated,
-                candidates=len(result.candidates),
-                found=result.found,
-            )
-            return result
+            if prior is not None:
+                self._check_prior(prior, query, required)
+            aliases = frozenset(query.aliases)
+            alias_to_relation = {r.alias: r.name for r in query.relations}
+            if any(not fids for fids in required.values()):
+                # unsatisfiable selection
+                return _closed(span, PlanGenResult(
+                    best=None,
+                    _lattice=_Lattice(self, query, required, (), 0, ()),
+                ))
+            conjuncts = query.predicate.conjuncts()
+            graph = JoinGraph(aliases, conjuncts)
+            rects = _Rectangles(graph.aliases, required)
+            enumerated = 0
 
-    def _generate(
-        self,
-        query: SPJQuery,
-        offers: Sequence[Offer],
-        required: Mapping[str, frozenset[int]],
-        prior: PlanGenResult | None,
-    ) -> PlanGenResult:
-        if prior is not None:
-            self._check_prior(prior, query, required)
-        aliases = frozenset(query.aliases)
-        alias_to_relation = {r.alias: r.name for r in query.relations}
-        if any(not fids for fids in required.values()):
-            # unsatisfiable selection
-            return PlanGenResult(
-                best=None, _lattice=_Lattice(self, query, required, (), 0, ())
+            # Seed entries from offers.  An entry is FINAL only when the
+            # offered answer carries the *original* query's output shape
+            # — `exact_projections` alone is relative to the offer's own
+            # request, which for analyser-derived sub-queries is a
+            # SELECT * part, not the original aggregate.
+            needs_final_shape = (
+                query.has_aggregates or query.group_by or query.distinct
             )
-        conjuncts = query.predicate.conjuncts()
-        graph = JoinGraph(aliases, conjuncts)
-        rects = _Rectangles(graph.aliases, required)
-        enumerated = 0
-
-        # Seed entries from offers.  An entry is FINAL only when the
-        # offered answer carries the *original* query's output shape —
-        # `exact_projections` alone is relative to the offer's own
-        # request, which for analyser-derived sub-queries is a SELECT *
-        # part, not the original aggregate.
-        needs_final_shape = (
-            query.has_aggregates or query.group_by or query.distinct
-        )
-        subsets: dict[int, dict[tuple, _Entry]] = {}
-        # id(entry) -> the offer it was seeded from
-        seeded_from: dict[int, Offer] = {}
-        for offer in offers:
-            if not offer.aliases or not offer.aliases <= aliases:
-                continue
-            coverage = {
-                alias: frozenset(fids) & required[alias]
-                for alias, fids in offer.coverage.items()
-            }
-            if any(not fids for fids in coverage.values()):
-                continue
-            form = RAW
-            if (
-                needs_final_shape
-                and offer.exact_projections
-                and offer.aliases == aliases
-                and set(offer.query.projections) == set(query.projections)
-                and set(offer.query.group_by) == set(query.group_by)
-            ):
-                form = FINAL
-            plan = self.builder.purchased(
-                offer.query,
-                offer.seller,
-                rows=offer.properties.rows,
-                total_time=offer.properties.total_time,
-                coverage=coverage,
-                buyer_site=self.buyer_site,
-                offer_id=offer.offer_id,
-                money=offer.properties.money,
-                freshness=offer.properties.freshness,
-            )
-            subset = graph.mask_of(offer.aliases)
-            rect = rects.encode(coverage)
-            # The one-leaf case of the folds `_combined` continues.
-            money = 0.0 + plan.money
-            freshness = min(1.0, plan.freshness)
-            time = plan.response_time()
-            entry = _Entry(
-                plan.rows,
-                plan.site,
-                time,
-                rect,
-                form,
-                rect == rects.required(subset),
-                (plan.money,),
-                money,
-                freshness,
-                self.valuation.score(time, plan.rows, money, freshness),
-                plan=plan,
-            )
-            seeded_from[id(entry)] = offer
-            self._add_entry(subsets, subset, entry)
-            enumerated += 1
-
-        # Everything from here on is a function of the seeded buckets
-        # (contents, order, and the order they were opened in), the
-        # query and *required*; a seed entry is a function of its offer,
-        # and offers are immutable.  So if every bucket holds entries of
-        # *prior*'s offers — the same objects — in *prior*'s order, the
-        # rest of the pass is *prior*'s.
-        seeded = tuple(
-            (subset, tuple(seeded_from[id(e)] for e in bucket.values()))
-            for subset, bucket in subsets.items()
-        )
-        if prior is not None and _same_seeding(seeded, prior._lattice.seeded):
-            lattice = prior._lattice
-            return PlanGenResult(
-                best=lattice.candidates[0] if lattice.candidates else None,
-                candidates=list(lattice.candidates),
-                enumerated=enumerated + lattice.after_seeding,
-                _lattice=_Lattice(
-                    self, query, required, seeded, lattice.after_seeding,
-                    lattice.candidates,
-                ),
-            )
-        seeded_count = enumerated
-
-        # Union closure at seed level.
-        for subset in list(subsets):
-            enumerated += self._union_closure(subsets, subset, query, rects)
-
-        # Join DP over alias subsets.  For connected queries, only
-        # connected subsets are enumerated (cross-product avoidance); when
-        # the query graph itself is disconnected, every subset is visited
-        # and cross products are allowed where unavoidable.
-        query_connected = graph.is_connected
-        for size in range(2, graph.n + 1):
-            for mask in graph.level_masks(size, connected_only=query_connected):
-                enumerated += self._level_block(
-                    subsets, mask, graph, query, rects,
-                    alias_to_relation, query_connected,
+            subsets: dict[int, dict[tuple, _Entry]] = {}
+            # id(entry) -> the offer it was seeded from
+            seeded_from: dict[int, Offer] = {}
+            for offer in offers:
+                if not offer.aliases or not offer.aliases <= aliases:
+                    continue
+                coverage = {
+                    alias: frozenset(fids) & required[alias]
+                    for alias, fids in offer.coverage.items()
+                }
+                if any(not fids for fids in coverage.values()):
+                    continue
+                form = RAW
+                if (
+                    needs_final_shape
+                    and offer.exact_projections
+                    and offer.aliases == aliases
+                    and set(offer.query.projections)
+                    == set(query.projections)
+                    and set(offer.query.group_by) == set(query.group_by)
+                ):
+                    form = FINAL
+                plan = self.builder.purchased(
+                    offer.query,
+                    offer.seller,
+                    rows=offer.properties.rows,
+                    total_time=offer.properties.total_time,
+                    coverage=coverage,
+                    buyer_site=self.buyer_site,
+                    offer_id=offer.offer_id,
+                    money=offer.properties.money,
+                    freshness=offer.properties.freshness,
                 )
-            if self.mode == "idp" and size == 2:
-                self._idp_prune(subsets, size)
-
-        # Assemble candidates at the full subset with full coverage.
-        candidates: list[CandidatePlan] = []
-        for entry in subsets.get(graph.full_mask, {}).values():
-            if not entry.complete:
-                continue
-            plan = self._plan(entry, query, alias_to_relation)
-            if entry.form == RAW:
-                plan = self._finish(query, plan, alias_to_relation)
-            elif query.order_by:
-                plan = self.builder.sort(
-                    self.builder.collocate(plan, self.buyer_site),
-                    query.order_by,
-                )
-            properties = AnswerProperties(
-                total_time=plan.response_time(),
-                rows=plan.rows,
-                money=entry.money,
-                freshness=entry.freshness,
-            )
-            candidates.append(
-                CandidatePlan(
+                subset = graph.mask_of(offer.aliases)
+                rect = rects.encode(coverage)
+                # The one-leaf case of the folds `_combined` continues.
+                money = 0.0 + plan.money
+                freshness = min(1.0, plan.freshness)
+                time = plan.response_time()
+                entry = _Entry(
+                    plan.rows,
+                    plan.site,
+                    time,
+                    rect,
+                    form,
+                    rect == rects.required(subset),
+                    (plan.money,),
+                    money,
+                    freshness,
+                    self.valuation.score(time, plan.rows, money, freshness),
                     plan=plan,
-                    properties=properties,
-                    value=self.valuation(properties),
                 )
+                seeded_from[id(entry)] = offer
+                self._add_entry(subsets, subset, entry)
+                enumerated += 1
+
+            # Everything from here on is a function of the seeded
+            # buckets (contents, order, and the order they were opened
+            # in), the query and *required*; a seed entry is a function
+            # of its offer, and offers are immutable.  So if every bucket
+            # holds entries of *prior*'s offers — the same objects — in
+            # *prior*'s order, the rest of the pass is *prior*'s.
+            seeded = tuple(
+                (subset, tuple(seeded_from[id(e)] for e in bucket.values()))
+                for subset, bucket in subsets.items()
             )
-        candidates.sort(key=lambda c: c.value)
-        best = candidates[0] if candidates else None
-        return PlanGenResult(
-            best=best,
-            candidates=candidates,
-            enumerated=enumerated,
-            _lattice=_Lattice(
-                self, query, required, seeded, enumerated - seeded_count,
-                tuple(candidates),
-            ),
-        )
+            if prior is not None and _same_seeding(
+                seeded, prior._lattice.seeded
+            ):
+                lattice = prior._lattice
+                return _closed(span, PlanGenResult(
+                    best=lattice.candidates[0] if lattice.candidates else None,
+                    candidates=list(lattice.candidates),
+                    enumerated=enumerated + lattice.after_seeding,
+                    _lattice=_Lattice(
+                        self, query, required, seeded,
+                        lattice.after_seeding, lattice.candidates,
+                    ),
+                ))
+            seeded_count = enumerated
+
+            # Union closure at seed level.
+            for subset in list(subsets):
+                enumerated += self._union_closure(
+                    subsets, subset, query, rects
+                )
+
+            # Join DP over alias subsets.  For connected queries, only
+            # connected subsets are enumerated (cross-product avoidance);
+            # when the query graph itself is disconnected, every subset is
+            # visited and cross products are allowed where unavoidable.
+            query_connected = graph.is_connected
+            for size in range(2, graph.n + 1):
+                for mask in graph.level_masks(
+                    size, connected_only=query_connected
+                ):
+                    enumerated += self._level_block(
+                        subsets, mask, graph, query, rects,
+                        alias_to_relation, query_connected,
+                    )
+                if self.mode == "idp" and size == 2:
+                    self._idp_prune(subsets, size)
+
+            # Assemble candidates at the full subset with full coverage.
+            candidates: list[CandidatePlan] = []
+            for entry in subsets.get(graph.full_mask, {}).values():
+                if not entry.complete:
+                    continue
+                plan = self._plan(entry, query, alias_to_relation)
+                if entry.form == RAW:
+                    plan = self._finish(query, plan, alias_to_relation)
+                elif query.order_by:
+                    plan = self.builder.sort(
+                        self.builder.collocate(plan, self.buyer_site),
+                        query.order_by,
+                    )
+                properties = AnswerProperties(
+                    total_time=plan.response_time(),
+                    rows=plan.rows,
+                    money=entry.money,
+                    freshness=entry.freshness,
+                )
+                candidates.append(
+                    CandidatePlan(
+                        plan=plan,
+                        properties=properties,
+                        value=self.valuation(properties),
+                    )
+                )
+            candidates.sort(key=lambda c: c.value)
+            best = candidates[0] if candidates else None
+            return _closed(span, PlanGenResult(
+                best=best,
+                candidates=candidates,
+                enumerated=enumerated,
+                _lattice=_Lattice(
+                    self, query, required, seeded,
+                    enumerated - seeded_count, tuple(candidates),
+                ),
+            ))
 
     def _check_prior(
         self,

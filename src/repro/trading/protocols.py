@@ -81,6 +81,18 @@ class SolicitResult:
         return self.finished_at - self.started_at
 
 
+def _solicited(span, result: SolicitResult) -> SolicitResult:
+    """Stamp one solicitation's outcome on its ``protocol.solicit``
+    span."""
+    span.set(
+        offers=len(result.offers),
+        timeouts=result.timeouts_fired,
+        retries=result.retries,
+        responded=result.responded,
+    )
+    return result
+
+
 class NegotiationProtocol:
     """Base: registers transient actors on the network per round."""
 
@@ -107,26 +119,12 @@ class NegotiationProtocol:
         """Notify winners (AWARD) and losers (REJECT); returns the final
         (possibly repriced) winning offers."""
         tracer = network.tracer
-        if not tracer.enabled:
-            return self._award(network, buyer, winning, losing, sellers)
         with tracer.span(
             "trade.award", "trading", site=buyer,
             winning=len(winning), losing=len(losing), protocol=self.name,
         ):
-            return self._award(network, buyer, winning, losing, sellers)
-
-    def _award(
-        self,
-        network: Network,
-        buyer: str,
-        winning: Sequence[Offer],
-        losing: Sequence[Offer],
-        sellers: Mapping[str, SellerAgent],
-    ) -> list[Offer]:
-        self._ensure_registered(network, buyer, sellers)
-        final = self.settle_prices(winning, losing)
-        tracer = network.tracer
-        if tracer.enabled:
+            self._ensure_registered(network, buyer, sellers)
+            final = self.settle_prices(winning, losing)
             # Award decisions with *settled* prices (a Vickrey protocol
             # reprices between winning and final).  An amortized MQO
             # seed offer carries its sharer count so the award records
@@ -143,39 +141,40 @@ class NegotiationProtocol:
                         else {}
                     ),
                 )
-        for offer in final:
-            network.send(
-                Message(MessageKind.AWARD, buyer, offer.seller, offer)
-            )
-        notified = {(o.seller, o.offer_id) for o in final}
-        rejected_sellers = set()
-        for offer in losing:
-            if (offer.seller, offer.offer_id) in notified:
-                continue
-            rejected_sellers.add(offer.seller)
-            if tracer.enabled:
+            for offer in final:
+                network.send(
+                    Message(MessageKind.AWARD, buyer, offer.seller, offer)
+                )
+            notified = {(o.seller, o.offer_id) for o in final}
+            rejected_sellers = set()
+            for offer in losing:
+                if (offer.seller, offer.offer_id) in notified:
+                    continue
+                rejected_sellers.add(offer.seller)
                 tracer.event(
                     "ledger.reject", "decision", site=buyer,
                     offer=offer.offer_id, seller=offer.seller,
                     request=offer.request_key,
                 )
-        network.broadcast(
-            buyer, sorted(rejected_sellers), MessageKind.REJECT, None
-        )
-        network.run()
-        won_by_seller: dict[str, set[str]] = {}
-        lost_by_seller: dict[str, set[str]] = {}
-        for offer in final:
-            won_by_seller.setdefault(offer.seller, set()).add(offer.request_key)
-        for offer in losing:
-            lost_by_seller.setdefault(offer.seller, set()).add(
-                offer.request_key
+            network.broadcast(
+                buyer, sorted(rejected_sellers), MessageKind.REJECT, None
             )
-        for node, agent in sellers.items():
-            won = won_by_seller.get(node, set())
-            lost = lost_by_seller.get(node, set()) - won
-            agent.record_outcomes(won, lost)
-        return final
+            network.run()
+            won_by_seller: dict[str, set[str]] = {}
+            lost_by_seller: dict[str, set[str]] = {}
+            for offer in final:
+                won_by_seller.setdefault(offer.seller, set()).add(
+                    offer.request_key
+                )
+            for offer in losing:
+                lost_by_seller.setdefault(offer.seller, set()).add(
+                    offer.request_key
+                )
+            for node, agent in sellers.items():
+                won = won_by_seller.get(node, set())
+                lost = lost_by_seller.get(node, set()) - won
+                agent.record_outcomes(won, lost)
+            return final
 
     def settle_prices(
         self, winning: Sequence[Offer], losing: Sequence[Offer]
@@ -238,166 +237,153 @@ class BiddingProtocol(NegotiationProtocol):
         rfb: RequestForBids,
     ) -> SolicitResult:
         tracer = network.tracer
-        if not tracer.enabled:
-            return self._solicit(network, buyer, sellers, rfb)
+        expected = sorted(node for node in sellers if node != buyer)
         with tracer.span(
             "protocol.solicit", "trading", site=buyer,
             protocol=self.name, round=rfb.round_number,
-            queries=len(rfb.queries),
-            sellers=sum(1 for node in sellers if node != buyer),
+            queries=len(rfb.queries), sellers=len(expected),
         ) as span:
-            result = self._solicit(network, buyer, sellers, rfb)
-            span.set(
-                offers=len(result.offers),
-                timeouts=result.timeouts_fired,
-                retries=result.retries,
-                responded=result.responded,
-            )
-            return result
+            started = network.now
+            collected: list[Offer] = []
+            responded: set[str] = set()
+            # Contacted sellers not yet heard from; with a deadline, the
+            # round closes early when this empties.
+            silent = set(expected) if self.timeout is not None else None
+            state = {
+                "closed": False, "timer": None, "timeouts": 0, "retries": 0,
+            }
 
-    def _solicit(
-        self,
-        network: Network,
-        buyer: str,
-        sellers: Mapping[str, SellerAgent],
-        rfb: RequestForBids,
-    ) -> SolicitResult:
-        started = network.now
-        collected: list[Offer] = []
-        expected = sorted(node for node in sellers if node != buyer)
-        responded: set[str] = set()
-        # Contacted sellers not yet heard from; with a deadline, the
-        # round closes early when this empties.
-        silent = set(expected) if self.timeout is not None else None
-        state = {"closed": False, "timer": None, "timeouts": 0, "retries": 0}
-
-        def seller_handler(net: Network, message: Message) -> None:
-            if message.kind is not MessageKind.RFB:
-                return
-            agent = sellers[message.recipient]
-            offers, work = agent.prepare_offers(message.payload)
-            done = net.compute(message.recipient, work)
-            if net.tracer.enabled:
-                # The booked optimization effort as a span on the
-                # seller's busy timeline.
-                net.tracer.interval(
-                    "seller.compute", "trading", site=message.recipient,
-                    sim_start=done - work, sim_end=done,
-                    work=work, offers=len(offers),
-                    cause=message.mid,
-                )
-            if offers:
-                net.send(
-                    Message(
-                        MessageKind.OFFER,
-                        message.recipient,
-                        buyer,
-                        offers,
-                        size_bytes=offers_size(net, offers),
-                    ),
-                    earliest=done,
-                )
-            else:
-                net.send(
-                    Message(
-                        MessageKind.NO_OFFER, message.recipient, buyer, None
-                    ),
-                    earliest=done,
-                )
-
-        def buyer_handler(net: Network, message: Message) -> None:
-            if state["closed"]:
-                return  # round already closed on its deadline
-            if message.kind is MessageKind.OFFER:
-                collected.extend(message.payload)
-                responded.add(message.sender)
-            elif message.kind is MessageKind.NO_OFFER:
-                responded.add(message.sender)
-            else:
-                return
-            if silent is not None:
-                silent.discard(message.sender)
-                if not silent:
-                    # Everyone answered: close early, cancel the deadline.
-                    state["closed"] = True
-                    if state["timer"] is not None:
-                        state["timer"].cancel()
-
-        size = rfb_size(network, rfb)
-
-        def issue(attempt: int) -> None:
-            deadline = None
-            if self.timeout is not None:
-                deadline = self.timeout * (self.backoff**attempt)
-                state["timer"] = network.sim.schedule_cancellable(
-                    deadline, on_deadline
-                )
-            if not network.tracer.enabled:
-                network.broadcast(
-                    buyer, expected, MessageKind.RFB, rfb, size_bytes=size
-                )
-                return
-            with network.tracer.span(
-                "rfb.fanout", "trading", site=buyer,
-                attempt=attempt, sellers=len(expected),
-                round=rfb.round_number,
-                **({"deadline": deadline} if deadline is not None else {}),
-            ):
-                network.broadcast(
-                    buyer, expected, MessageKind.RFB, rfb, size_bytes=size
-                )
-
-        def on_deadline() -> None:
-            state["timeouts"] += 1
-            tracer = network.tracer
-            timeout_id = -1
-            if tracer.enabled:
-                # The timeout itself is a causal node: re-issued RFBs
-                # descend from it, not from the original fanout.
-                timeout_id = network.next_causal_id()
-                tracer.event(
-                    "round.timeout", "trading", site=buyer,
-                    responded=len(responded), expected=len(expected),
-                    mid=timeout_id,
-                )
-            if not responded and state["retries"] < self.max_retries:
-                # All sellers silent: re-issue with exponential backoff.
-                state["retries"] += 1
-                network.stats.retried += len(expected)
-                if tracer.enabled:
-                    tracer.event(
-                        "round.retry", "trading", site=buyer,
-                        attempt=state["retries"], mid=timeout_id,
+            def seller_handler(net: Network, message: Message) -> None:
+                if message.kind is not MessageKind.RFB:
+                    return
+                agent = sellers[message.recipient]
+                offers, work = agent.prepare_offers(message.payload)
+                done = net.compute(message.recipient, work)
+                if net.tracer.enabled:
+                    # The booked optimization effort as a span on the
+                    # seller's busy timeline.
+                    net.tracer.interval(
+                        "seller.compute", "trading",
+                        site=message.recipient,
+                        sim_start=done - work, sim_end=done,
+                        work=work, offers=len(offers),
+                        cause=message.mid,
                     )
-                    prior = tracer.cause
-                    tracer.cause = timeout_id
-                    try:
-                        issue(state["retries"])
-                    finally:
-                        tracer.cause = prior
+                if offers:
+                    net.send(
+                        Message(
+                            MessageKind.OFFER,
+                            message.recipient,
+                            buyer,
+                            offers,
+                            size_bytes=offers_size(net, offers),
+                        ),
+                        earliest=done,
+                    )
                 else:
-                    issue(state["retries"])
-            else:
-                state["closed"] = True
+                    net.send(
+                        Message(
+                            MessageKind.NO_OFFER, message.recipient, buyer,
+                            None,
+                        ),
+                        earliest=done,
+                    )
 
-        self._swap_handlers(network, buyer, sellers, buyer_handler, seller_handler)
-        issue(0)
-        network.run()
-        state["closed"] = True
-        # ``issue`` and ``on_deadline`` refer to each other, and the
-        # deadline timer (kept in ``state``) to ``on_deadline``: cut both
-        # links so the round, and everything it reaches, is freed by
-        # reference counting rather than by a cycle collection.
-        state["timer"] = None
-        del issue
-        return SolicitResult(
-            offers=collected,
-            started_at=started,
-            finished_at=network.now,
-            timeouts_fired=state["timeouts"],
-            retries=state["retries"],
-            responded=len(responded),
-        )
+            def buyer_handler(net: Network, message: Message) -> None:
+                if state["closed"]:
+                    return  # round already closed on its deadline
+                if message.kind is MessageKind.OFFER:
+                    collected.extend(message.payload)
+                    responded.add(message.sender)
+                elif message.kind is MessageKind.NO_OFFER:
+                    responded.add(message.sender)
+                else:
+                    return
+                if silent is not None:
+                    silent.discard(message.sender)
+                    if not silent:
+                        # Everyone answered: close early, cancel the
+                        # deadline.
+                        state["closed"] = True
+                        if state["timer"] is not None:
+                            state["timer"].cancel()
+
+            size = rfb_size(network, rfb)
+
+            def issue(attempt: int) -> None:
+                deadline = None
+                if self.timeout is not None:
+                    deadline = self.timeout * (self.backoff**attempt)
+                    state["timer"] = network.sim.schedule_cancellable(
+                        deadline, on_deadline
+                    )
+                with tracer.span(
+                    "rfb.fanout", "trading", site=buyer,
+                    attempt=attempt, sellers=len(expected),
+                    round=rfb.round_number,
+                    **(
+                        {"deadline": deadline} if deadline is not None else {}
+                    ),
+                ):
+                    network.broadcast(
+                        buyer, expected, MessageKind.RFB, rfb,
+                        size_bytes=size,
+                    )
+
+            def on_deadline() -> None:
+                state["timeouts"] += 1
+                timeout_id = -1
+                if tracer.enabled:
+                    # The timeout itself is a causal node: re-issued RFBs
+                    # descend from it, not from the original fanout.
+                    timeout_id = network.next_causal_id()
+                    tracer.event(
+                        "round.timeout", "trading", site=buyer,
+                        responded=len(responded), expected=len(expected),
+                        mid=timeout_id,
+                    )
+                if not responded and state["retries"] < self.max_retries:
+                    # All sellers silent: re-issue with exponential
+                    # backoff.
+                    state["retries"] += 1
+                    network.stats.retried += len(expected)
+                    if tracer.enabled:
+                        tracer.event(
+                            "round.retry", "trading", site=buyer,
+                            attempt=state["retries"], mid=timeout_id,
+                        )
+                        prior = tracer.cause
+                        tracer.cause = timeout_id
+                        try:
+                            issue(state["retries"])
+                        finally:
+                            tracer.cause = prior
+                    else:
+                        issue(state["retries"])
+                else:
+                    state["closed"] = True
+
+            self._swap_handlers(
+                network, buyer, sellers, buyer_handler, seller_handler
+            )
+            issue(0)
+            network.run()
+            state["closed"] = True
+            # ``issue`` and ``on_deadline`` refer to each other, and the
+            # deadline timer (kept in ``state``) to ``on_deadline``: cut
+            # both links so the round, and everything it reaches, is
+            # freed by reference counting rather than by a cycle
+            # collection.
+            state["timer"] = None
+            del issue
+            return _solicited(span, SolicitResult(
+                offers=collected,
+                started_at=started,
+                finished_at=network.now,
+                timeouts_fired=state["timeouts"],
+                retries=state["retries"],
+                responded=len(responded),
+            ))
 
     @staticmethod
     def _swap_handlers(network, buyer, sellers, buyer_handler, seller_handler):
@@ -474,86 +460,72 @@ class BargainingProtocol(NegotiationProtocol):
         sellers: Mapping[str, SellerAgent],
         rfb: RequestForBids,
     ) -> SolicitResult:
-        tracer = network.tracer
-        if not tracer.enabled:
-            return self._solicit(network, buyer, sellers, rfb)
-        with tracer.span(
+        with network.tracer.span(
             "protocol.solicit", "trading", site=buyer,
             protocol=self.name, round=rfb.round_number,
             queries=len(rfb.queries),
-            sellers=sum(1 for node in sellers if node != buyer),
+            sellers=len(sellers) - (buyer in sellers),
         ) as span:
-            result = self._solicit(network, buyer, sellers, rfb)
-            span.set(
-                offers=len(result.offers),
-                timeouts=result.timeouts_fired,
-                retries=result.retries,
-                responded=result.responded,
-            )
-            return result
-
-    def _solicit(
-        self,
-        network: Network,
-        buyer: str,
-        sellers: Mapping[str, SellerAgent],
-        rfb: RequestForBids,
-    ) -> SolicitResult:
-        started = network.now
-        reservations = dict(rfb.reservations)
-        collected: dict[tuple, Offer] = {}
-        valuation: Valuation = WeightedValuation()
-        timeouts_fired = 0
-        retries = 0
-        for round_number in range(self.max_rounds):
-            if round_number == self.max_rounds - 1:
-                reservations = {}
-            current = RequestForBids(
-                buyer=rfb.buyer,
-                queries=rfb.queries,
-                reservations=dict(reservations),
-                round_number=rfb.round_number,
-            )
-            result = self._bidding.solicit(network, buyer, sellers, current)
-            timeouts_fired += result.timeouts_fired
-            retries += result.retries
-            got_new = False
-            for offer in result.offers:
-                key = (offer.seller, offer.query.key(), offer.exact_projections)
-                current_best = collected.get(key)
-                if current_best is None or valuation(
-                    offer.properties
-                ) < valuation(current_best.properties):
-                    collected[key] = offer
-                    got_new = True
-            # Relax reservations toward observed prices.
-            by_request: dict[str, float] = {}
-            for offer in result.offers:
-                cost = offer.properties.total_time
-                key = offer.request_key
-                if key not in by_request or cost < by_request[key]:
-                    by_request[key] = cost
-            satisfied = all(
-                key in by_request for key in reservations
-            ) and bool(result.offers)
-            if satisfied or not reservations:
-                break
-            for key in list(reservations):
-                observed = by_request.get(key)
-                if observed is None:
-                    reservations[key] = reservations[key] * (
-                        1.0 + self.concession
+            started = network.now
+            reservations = dict(rfb.reservations)
+            collected: dict[tuple, Offer] = {}
+            valuation: Valuation = WeightedValuation()
+            timeouts_fired = 0
+            retries = 0
+            for round_number in range(self.max_rounds):
+                if round_number == self.max_rounds - 1:
+                    reservations = {}
+                current = RequestForBids(
+                    buyer=rfb.buyer,
+                    queries=rfb.queries,
+                    reservations=dict(reservations),
+                    round_number=rfb.round_number,
+                )
+                result = self._bidding.solicit(
+                    network, buyer, sellers, current
+                )
+                timeouts_fired += result.timeouts_fired
+                retries += result.retries
+                got_new = False
+                for offer in result.offers:
+                    key = (
+                        offer.seller, offer.query.key(),
+                        offer.exact_projections,
                     )
-                else:
-                    reservations[key] += self.concession * max(
-                        0.0, observed - reservations[key]
-                    )
-            if not got_new and round_number > 0:
-                break
-        return SolicitResult(
-            offers=list(collected.values()),
-            started_at=started,
-            finished_at=network.now,
-            timeouts_fired=timeouts_fired,
-            retries=retries,
-        )
+                    current_best = collected.get(key)
+                    if current_best is None or valuation(
+                        offer.properties
+                    ) < valuation(current_best.properties):
+                        collected[key] = offer
+                        got_new = True
+                # Relax reservations toward observed prices.
+                by_request: dict[str, float] = {}
+                for offer in result.offers:
+                    cost = offer.properties.total_time
+                    key = offer.request_key
+                    if key not in by_request or cost < by_request[key]:
+                        by_request[key] = cost
+                satisfied = all(
+                    key in by_request for key in reservations
+                ) and bool(result.offers)
+                if satisfied or not reservations:
+                    break
+                for key in list(reservations):
+                    observed = by_request.get(key)
+                    if observed is None:
+                        reservations[key] = reservations[key] * (
+                            1.0 + self.concession
+                        )
+                    else:
+                        reservations[key] += self.concession * max(
+                            0.0, observed - reservations[key]
+                        )
+                if not got_new and round_number > 0:
+                    break
+            return _solicited(span, SolicitResult(
+                offers=list(collected.values()),
+                started_at=started,
+                finished_at=network.now,
+                timeouts_fired=timeouts_fired,
+                retries=retries,
+            ))

@@ -171,62 +171,57 @@ class SellerAgent:
     ) -> tuple[list[Offer], float]:
         """All offers for *rfb*, plus the simulated optimization effort."""
         tracer = self.tracer
-        if not tracer.enabled:
-            return self._prepare(rfb)
         with tracer.span(
             "seller.prepare_offers", "trading", site=self.node,
             round=rfb.round_number, queries=len(rfb.queries),
         ) as span:
-            offers, work = self._prepare(rfb)
-            span.set(offers=len(offers), work=work)
-            return offers, work
-
-    def _prepare(self, rfb: RequestForBids) -> tuple[list[Offer], float]:
-        if not self._held_relations and not self._answers_unheld():
-            return [], 0.0
-        tracer = self.tracer
-        offers: list[Offer] = []
-        work = 0.0
-        lineage: dict[str, str] = {}
-        efforts: dict[str, float] = {}
-        for query in rfb.queries:
-            self._last_cache_lineage = "none"
-            self._nominal_effort = 0.0
-            new_offers, query_work = self._offers_for(query, rfb)
+            if not self._held_relations and not self._answers_unheld():
+                span.set(offers=0, work=0.0)
+                return [], 0.0
+            offers: list[Offer] = []
+            work = 0.0
+            lineage: dict[str, str] = {}
+            efforts: dict[str, float] = {}
+            for query in rfb.queries:
+                self._last_cache_lineage = "none"
+                self._nominal_effort = 0.0
+                new_offers, query_work = self._offers_for(query, rfb)
+                if tracer.enabled:
+                    lineage[query.key()] = self._last_cache_lineage
+                    efforts[query.key()] = self._nominal_effort
+                offers.extend(new_offers)
+                work += query_work
+            deduped = _dedupe(offers)
             if tracer.enabled:
-                lineage[query.key()] = self._last_cache_lineage
-                efforts[query.key()] = self._nominal_effort
-            offers.extend(new_offers)
-            work += query_work
-        deduped = _dedupe(offers)
-        if tracer.enabled:
-            # Decision-ledger provenance: one pricing record per offer
-            # that survives dedupe, carrying the optimization lineage
-            # (offer-cache hit vs fresh DP) of the request it answers.
-            # An interned RFB (MQO epoch prepass) additionally stamps
-            # the amortization factor: this price is shared by that
-            # many buyer sessions and charged once in aggregate.
-            for offer in deduped:
-                shared = rfb.shared_count_for(offer.request_key)
-                tracer.event(
-                    "ledger.priced", "decision", site=self.node,
-                    cause=tracer.cause,
-                    offer=offer.offer_id,
-                    seller=offer.seller,
-                    request=offer.request_key,
-                    query=offer.query.key(),
-                    coverage=coverage_label(offer.coverage_key()),
-                    exact=offer.exact_projections,
-                    money=offer.properties.money,
-                    total_time=offer.properties.total_time,
-                    cache=lineage.get(offer.request_key, "none"),
-                    effort=round(
-                        efforts.get(offer.request_key, 0.0), 12
-                    ),
-                    round=rfb.round_number,
-                    **({"shared": shared} if shared else {}),
-                )
-        return deduped, work
+                # Decision-ledger provenance: one pricing record per
+                # offer that survives dedupe, carrying the optimization
+                # lineage (offer-cache hit vs fresh DP) of the request it
+                # answers.  An interned RFB (MQO epoch prepass)
+                # additionally stamps the amortization factor: this
+                # price is shared by that many buyer sessions and
+                # charged once in aggregate.
+                for offer in deduped:
+                    shared = rfb.shared_count_for(offer.request_key)
+                    tracer.event(
+                        "ledger.priced", "decision", site=self.node,
+                        cause=tracer.cause,
+                        offer=offer.offer_id,
+                        seller=offer.seller,
+                        request=offer.request_key,
+                        query=offer.query.key(),
+                        coverage=coverage_label(offer.coverage_key()),
+                        exact=offer.exact_projections,
+                        money=offer.properties.money,
+                        total_time=offer.properties.total_time,
+                        cache=lineage.get(offer.request_key, "none"),
+                        effort=round(
+                            efforts.get(offer.request_key, 0.0), 12
+                        ),
+                        round=rfb.round_number,
+                        **({"shared": shared} if shared else {}),
+                    )
+            span.set(offers=len(deduped), work=work)
+            return deduped, work
 
     # ------------------------------------------------------------------
     def optimize_cached(

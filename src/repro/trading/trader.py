@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 from repro.net.simulator import Network, NetworkStats
 from repro.obs.ledger import NegotiationLedger
 from repro.obs.metrics import RunTelemetry
+from repro.obs.tracer import Tracer
 from repro.optimizer.plans import PlanBuilder, Purchased
 from repro.sql.query import SPJQuery
 from repro.trading.buyer import (
@@ -261,69 +262,40 @@ class QueryTrader:
     # ------------------------------------------------------------------
     def optimize(self, query: SPJQuery, initial_value: float | None = None) -> TradingResult:
         """Run the full iterative trading negotiation for *query*."""
-        tracer = self.network.tracer
-        if not tracer.enabled:
-            return self._optimize(query, initial_value)
+        net = self.network
+        tracer = net.tracer
         self._wire_tracer(tracer)
         mark = len(tracer.records)
         with tracer.span(
             "trade.optimize", "trading", site=self.buyer, query=query.key()
         ) as span:
-            result = self._optimize(query, initial_value)
-            span.set(
-                iterations=result.iterations,
-                offers=result.offers_considered,
-                found=result.found,
-            )
-        result.attach_records(tracer.records[mark:])
-        return result
+            start_time = net.now
+            start_stats = net.stats.snapshot()
+            start_cache = self._cache_stats()
 
-    def _wire_tracer(self, tracer) -> None:
-        """Propagate the network tracer into every layer this trader
-        drives: plan generator, seller agents and their (possibly
-        shared) offer caches.
-        """
-        self.plan_generator.tracer = tracer
-        seen: set[int] = set()
-        for agent in self.sellers.values():
-            agent.tracer = tracer
-            cache = getattr(agent, "offer_cache", None)
-            if cache is not None and id(cache) not in seen:
-                seen.add(id(cache))
-                cache.tracer = tracer
-
-    def _optimize(
-        self, query: SPJQuery, initial_value: float | None = None
-    ) -> TradingResult:
-        net = self.network
-        start_time = net.now
-        start_stats = net.stats.snapshot()
-        start_cache = self._cache_stats()
-
-        asked: set[str] = set()
-        offers: dict[tuple, Offer] = {}
-        best: CandidatePlan | None = None
-        estimates: dict[str, float] = {}
-        if initial_value is not None:
-            estimates[query.key()] = initial_value
-        # MQO seeds enter the offer table before round one, exactly as
-        # if a round-zero solicitation had produced them; in-session
-        # offers for the same commodity displace them only by beating
-        # them under the ordinary valuation rule.
-        for offer in self.seed_offers:
-            key = (
-                offer.seller,
-                offer.query.key(),
-                offer.coverage_key(),
-                offer.exact_projections,
-            )
-            offers[key] = offer
-            value = self.valuation(offer.properties)
-            estimate = estimates.get(offer.query.key())
-            if estimate is None or value < estimate:
-                estimates[offer.query.key()] = value
-            if net.tracer.enabled:
-                net.tracer.event(
+            asked: set[str] = set()
+            offers: dict[tuple, Offer] = {}
+            best: CandidatePlan | None = None
+            estimates: dict[str, float] = {}
+            if initial_value is not None:
+                estimates[query.key()] = initial_value
+            # MQO seeds enter the offer table before round one, exactly
+            # as if a round-zero solicitation had produced them;
+            # in-session offers for the same commodity displace them only
+            # by beating them under the ordinary valuation rule.
+            for offer in self.seed_offers:
+                key = (
+                    offer.seller,
+                    offer.query.key(),
+                    offer.coverage_key(),
+                    offer.exact_projections,
+                )
+                offers[key] = offer
+                value = self.valuation(offer.properties)
+                estimate = estimates.get(offer.query.key())
+                if estimate is None or value < estimate:
+                    estimates[offer.query.key()] = value
+                tracer.event(
                     "ledger.offer", "decision", site=self.buyer,
                     offer=offer.offer_id,
                     seller=offer.seller,
@@ -335,113 +307,109 @@ class QueryTrader:
                     total_time=offer.properties.total_time,
                     value=value,
                     outcome="seeded",
-                    **(
-                        {"shared": offer.shared_by}
-                        if offer.shared_by
-                        else {}
-                    ),
+                    **({"shared": offer.shared_by} if offer.shared_by else {}),
                 )
-        queries: list[SPJQuery] = [query]
-        # What the answer must cover is fixed for the trade: the plan
-        # generator and the predicates analyser both read it every round.
-        required = self.plan_generator.required_coverage(query)
-        trace: list[IterationTrace] = []
-        iterations = 0
-        resilience = ResilienceSummary()
-        budget_exhausted = False
-        # The previous round's plan generation, which the next one reuses
-        # where the offer table left it unchanged; it goes with this call.
-        plan_result = None
+            queries: list[SPJQuery] = [query]
+            # What the answer must cover is fixed for the trade: the plan
+            # generator and the predicates analyser both read it every
+            # round.
+            required = self.plan_generator.required_coverage(query)
+            trace: list[IterationTrace] = []
+            iterations = 0
+            resilience = ResilienceSummary()
+            budget_exhausted = False
+            # The previous round's plan generation, which the next one
+            # reuses where the offer table left it unchanged; it goes with
+            # this call.
+            plan_result = None
 
-        for round_number in range(1, self.max_iterations + 1):
-            queries = [q for q in queries if q.key() not in asked]
-            if not queries:
-                break
-            iterations = round_number
-            for q in queries:
-                asked.add(q.key())
-
-            # Once per round, outside the hot paths: a disabled tracer
-            # hands back the no-op span.
-            with net.tracer.span(
-                "trade.round", "trading", site=self.buyer,
-                round=round_number, queries=len(queries),
-            ) as round_span:
-                # B1: strategic value estimation.
-                reservations: dict[str, float] = {}
+            for round_number in range(1, self.max_iterations + 1):
+                queries = [q for q in queries if q.key() not in asked]
+                if not queries:
+                    break
+                iterations = round_number
                 for q in queries:
-                    reservation = self.buyer_strategy.reservation(
-                        estimates.get(q.key())
-                    )
-                    if reservation is not None:
-                        reservations[q.key()] = reservation
-                rfb = RequestForBids(
-                    buyer=self.buyer,
-                    queries=tuple(queries),
-                    reservations=reservations,
-                    round_number=round_number,
-                )
+                    asked.add(q.key())
 
-                # B2/B3: solicit offers over the network.
-                result = self.protocol.solicit(
-                    net, self.buyer, self.sellers, rfb
-                )
-                resilience.timeouts_fired += result.timeouts_fired
-                resilience.retries += result.retries
-                for offer in result.offers:
-                    key = (
-                        offer.seller,
-                        offer.query.key(),
-                        offer.coverage_key(),
-                        offer.exact_projections,
-                    )
-                    current = offers.get(key)
-                    value = self.valuation(offer.properties)
-                    kept = current is None or value < self.valuation(
-                        current.properties
-                    )
-                    if kept:
-                        offers[key] = offer
-                    if net.tracer.enabled:
-                        self._ledger_offer(
-                            net, offer, current, value, kept, round_number
+                with tracer.span(
+                    "trade.round", "trading", site=self.buyer,
+                    round=round_number, queries=len(queries),
+                ) as round_span:
+                    # B1: strategic value estimation.
+                    reservations: dict[str, float] = {}
+                    for q in queries:
+                        reservation = self.buyer_strategy.reservation(
+                            estimates.get(q.key())
                         )
-                    # Track per-query market estimates for future
-                    # reservations.
-                    estimate = estimates.get(offer.query.key())
-                    if estimate is None or value < estimate:
-                        estimates[offer.query.key()] = value
+                        if reservation is not None:
+                            reservations[q.key()] = reservation
+                    rfb = RequestForBids(
+                        buyer=self.buyer,
+                        queries=tuple(queries),
+                        reservations=reservations,
+                        round_number=round_number,
+                    )
 
-                # B4: generate candidate plans (buyer-side compute is
-                # booked on the buyer's timeline).
-                all_offers = list(offers.values())
-                plan_result = self.plan_generator.generate(
-                    query, all_offers, required=required, prior=plan_result
-                )
-                plan_work = (
-                    plan_result.enumerated
-                    * self.plan_generator.seconds_per_plan
-                )
-                finish = net.compute(self.buyer, plan_work)
-                if net.tracer.enabled:
-                    net.tracer.interval(
+                    # B2/B3: solicit offers over the network.
+                    result = self.protocol.solicit(
+                        net, self.buyer, self.sellers, rfb
+                    )
+                    resilience.timeouts_fired += result.timeouts_fired
+                    resilience.retries += result.retries
+                    for offer in result.offers:
+                        key = (
+                            offer.seller,
+                            offer.query.key(),
+                            offer.coverage_key(),
+                            offer.exact_projections,
+                        )
+                        current = offers.get(key)
+                        value = self.valuation(offer.properties)
+                        kept = current is None or value < self.valuation(
+                            current.properties
+                        )
+                        if kept:
+                            offers[key] = offer
+                        if tracer.enabled:
+                            self._ledger_offer(
+                                tracer, offer, current, value, kept,
+                                round_number,
+                            )
+                        # Track per-query market estimates for future
+                        # reservations.
+                        estimate = estimates.get(offer.query.key())
+                        if estimate is None or value < estimate:
+                            estimates[offer.query.key()] = value
+
+                    # B4: generate candidate plans (buyer-side compute is
+                    # booked on the buyer's timeline).
+                    all_offers = list(offers.values())
+                    plan_result = self.plan_generator.generate(
+                        query, all_offers,
+                        required=required, prior=plan_result,
+                    )
+                    plan_work = (
+                        plan_result.enumerated
+                        * self.plan_generator.seconds_per_plan
+                    )
+                    finish = net.compute(self.buyer, plan_work)
+                    tracer.interval(
                         "buyer.compute", "trading", site=self.buyer,
                         sim_start=finish - plan_work, sim_end=finish,
                         work=plan_work, enumerated=plan_result.enumerated,
                     )
-                net.sim.schedule_at(finish, lambda: None)
-                net.run()
+                    net.sim.schedule_at(finish, lambda: None)
+                    net.run()
 
-                improved = plan_result.best is not None and (
-                    best is None
-                    or plan_result.best.value
-                    < best.value * (1.0 - self.improvement_epsilon)
-                )
-                if improved:
-                    best = plan_result.best
-                    estimates[query.key()] = best.value
-                    if net.tracer.enabled:
-                        net.tracer.event(
+                    improved = plan_result.best is not None and (
+                        best is None
+                        or plan_result.best.value
+                        < best.value * (1.0 - self.improvement_epsilon)
+                    )
+                    if improved:
+                        best = plan_result.best
+                        estimates[query.key()] = best.value
+                        tracer.event(
                             "ledger.plan", "decision", site=self.buyer,
                             round=round_number,
                             value=best.value,
@@ -451,90 +419,128 @@ class QueryTrader:
                             ),
                         )
 
-                # B5/B6: derive new queries.
-                derived = self.analyser.derive(query, all_offers, required)
-                new_queries = [q for q in derived if q.key() not in asked]
-
-                trace.append(
-                    IterationTrace(
-                        round_number=round_number,
-                        queries_asked=len(queries),
-                        offers_received=len(result.offers),
-                        best_value=None if best is None else best.value,
-                        elapsed=net.now - start_time,
+                    # B5/B6: derive new queries.
+                    derived = self.analyser.derive(
+                        query, all_offers, required
                     )
-                )
-                round_span.set(
-                    offers=len(result.offers),
-                    improved=improved,
-                    new_queries=len(new_queries),
-                )
+                    new_queries = [
+                        q for q in derived if q.key() not in asked
+                    ]
 
-            # Abort when no plan exists and the analyser has nothing new
-            # to ask for (a softened version of the paper's first-round
-            # abort: complement queries can still repair an assembly gap
-            # in round 2, e.g. when sellers' holdings overlap and no
-            # disjoint exact cover existed at round-one granularity).
-            if best is None and not new_queries:
-                break
-            # B7: terminate on no improvement or no new queries.
-            if round_number > 1 and not improved and best is not None:
-                break
-            if not new_queries:
-                break
-            # Per-session compute budget: stop refining once the offer
-            # cap is reached, keeping whatever plan the rounds so far
-            # produced.  Checked after the natural-termination rules so
-            # a run that converged on its own is never flagged.
-            if (
-                self.offer_budget is not None
-                and len(offers) >= self.offer_budget
-            ):
-                budget_exhausted = True
-                break
-            if round_number == self.max_iterations:
-                # The cap fires with refined queries still pending —
-                # the round budget, not convergence, ended the search.
-                budget_exhausted = True
-            queries = new_queries
+                    trace.append(
+                        IterationTrace(
+                            round_number=round_number,
+                            queries_asked=len(queries),
+                            offers_received=len(result.offers),
+                            best_value=(
+                                None if best is None else best.value
+                            ),
+                            elapsed=net.now - start_time,
+                        )
+                    )
+                    round_span.set(
+                        offers=len(result.offers),
+                        improved=improved,
+                        new_queries=len(new_queries),
+                    )
 
-        # B8: strike contracts for the winning offers.
-        contracts: list[Contract] = []
-        if best is not None:
-            winning_ids = {
-                leaf.offer_id for leaf in best.purchased()
-            }
-            winning = [o for o in offers.values() if o.offer_id in winning_ids]
-            losing = [o for o in offers.values() if o.offer_id not in winning_ids]
-            final = self.protocol.award(
-                net, self.buyer, winning, losing, self.sellers
+                # Abort when no plan exists and the analyser has nothing
+                # new to ask for (a softened version of the paper's
+                # first-round abort: complement queries can still repair
+                # an assembly gap in round 2, e.g. when sellers' holdings
+                # overlap and no disjoint exact cover existed at
+                # round-one granularity).
+                if best is None and not new_queries:
+                    break
+                # B7: terminate on no improvement or no new queries.
+                if round_number > 1 and not improved and best is not None:
+                    break
+                if not new_queries:
+                    break
+                # Per-session compute budget: stop refining once the
+                # offer cap is reached, keeping whatever plan the rounds
+                # so far produced.  Checked after the natural-termination
+                # rules so a run that converged on its own is never
+                # flagged.
+                if (
+                    self.offer_budget is not None
+                    and len(offers) >= self.offer_budget
+                ):
+                    budget_exhausted = True
+                    break
+                if round_number == self.max_iterations:
+                    # The cap fires with refined queries still pending —
+                    # the round budget, not convergence, ended the
+                    # search.
+                    budget_exhausted = True
+                queries = new_queries
+
+            # B8: strike contracts for the winning offers.
+            contracts: list[Contract] = []
+            if best is not None:
+                winning_ids = {leaf.offer_id for leaf in best.purchased()}
+                winning = [
+                    o for o in offers.values() if o.offer_id in winning_ids
+                ]
+                losing = [
+                    o for o in offers.values()
+                    if o.offer_id not in winning_ids
+                ]
+                final = self.protocol.award(
+                    net, self.buyer, winning, losing, self.sellers
+                )
+                contracts = [
+                    Contract(buyer=self.buyer, offer=o, agreed=o.properties)
+                    for o in final
+                ]
+
+            resilience.final_cost = (
+                best.properties.total_time if best is not None else None
             )
-            contracts = [
-                Contract(buyer=self.buyer, offer=o, agreed=o.properties)
-                for o in final
-            ]
+            outcome = TradingResult(
+                query=query,
+                best=best,
+                contracts=contracts,
+                iterations=iterations,
+                offers_considered=len(offers),
+                optimization_time=net.now - start_time,
+                messages=net.stats.delta_since(start_stats),
+                trace=trace,
+                cache=self._cache_stats().delta_since(start_cache),
+                resilience=resilience,
+                budget_exhausted=budget_exhausted,
+            )
+            span.set(
+                iterations=iterations,
+                offers=len(offers),
+                found=best is not None,
+            )
+        if tracer.enabled:
+            outcome.attach_records(tracer.records[mark:])
+        return outcome
 
-        resilience.final_cost = (
-            best.properties.total_time if best is not None else None
-        )
-        return TradingResult(
-            query=query,
-            best=best,
-            contracts=contracts,
-            iterations=iterations,
-            offers_considered=len(offers),
-            optimization_time=net.now - start_time,
-            messages=net.stats.delta_since(start_stats),
-            trace=trace,
-            cache=self._cache_stats().delta_since(start_cache),
-            resilience=resilience,
-            budget_exhausted=budget_exhausted,
-        )
+    def _wire_tracer(self, tracer: Tracer) -> None:
+        """Propagate the network tracer (``NULL_TRACER`` when untraced)
+        into every layer this trader drives: plan generator, seller
+        agents and their (possibly shared) offer caches.
+
+        Runs on every :meth:`optimize`, so an untraced trade over agents
+        or a shared cache that an earlier traced trade wired records
+        nothing into the earlier trade's tracer.
+        """
+        self.plan_generator.tracer = tracer
+        seen: set[int] = set()
+        for agent in self.sellers.values():
+            agent.tracer = tracer
+            cache = getattr(agent, "offer_cache", None)
+            if cache is not None and id(cache) not in seen:
+                seen.add(id(cache))
+                cache.tracer = tracer
 
     # ------------------------------------------------------------------
     def _ledger_offer(
         self,
-        net: Network,
+        tracer: Tracer,
         offer: Offer,
         current: Offer | None,
         value: float,
@@ -562,9 +568,7 @@ class QueryTrader:
         }
         if current is not None:
             args["over"] = current.offer_id
-        net.tracer.event(
-            "ledger.offer", "decision", site=self.buyer, **args
-        )
+        tracer.event("ledger.offer", "decision", site=self.buyer, **args)
 
     # ------------------------------------------------------------------
     def _cache_stats(self) -> CacheStats:

@@ -32,10 +32,13 @@ from repro.broker import (
     start_server,
 )
 from repro.broker.server import MAX_BODY_BYTES, _Handler
+from repro.broker.service import _offer_order_key
 from repro.broker.sessions import RUNNING, BrokerSession, SessionSpec
+from repro.net import Network
 from repro.obs.live import parse_prometheus_text
+from repro.trading import BiddingProtocol, RequestForBids
 from repro.trading.commodity import offer_id_scope
-from repro.workload import BurstConfig, build_bursty_workload
+from repro.workload import BurstConfig, build_bursty_workload, chain_query
 from tests.conftest import watch_plan_rounds
 
 WORLD = dict(
@@ -235,6 +238,35 @@ class TestBrokerDeterminism:
         assert first["cache"]["misses"] > 0
         assert second["cache"]["hits"] > 0
         assert plan_signature(first) == plan_signature(second)
+
+
+class TestOrderedBidding:
+    def test_sorts_the_offers_plain_bidding_collects(self):
+        """Twin networks, one round: the broker's protocol returns the
+        library protocol's offers, sorted by ``_offer_order_key``."""
+        world = build_world(**WORLD)
+        rfb = RequestForBids("client", (chain_query(3),), round_number=1)
+
+        def solicit(protocol):
+            sellers = world.seller_agents(
+                offer_cache=None, use_offer_cache=False
+            )
+            with offer_id_scope():
+                return protocol.solicit(
+                    Network(world.model), "client", sellers, rfb
+                ).offers
+
+        ordered = solicit(OrderedBiddingProtocol())
+        plain = solicit(BiddingProtocol())
+        assert ordered == sorted(ordered, key=_offer_order_key)
+        assert plain != ordered, "arrival order already sorted: no check"
+
+        def multiset(offers):
+            return sorted(
+                (o.offer_id, o.properties.money.hex()) for o in offers
+            )
+
+        assert multiset(ordered) == multiset(plain)
 
 
 def serve_one(service: BrokerService, sql: str, **payload) -> dict:

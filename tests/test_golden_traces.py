@@ -1,0 +1,197 @@
+"""Trace bytes pinned across commits.
+
+Trace byte-identity tests elsewhere compare two runs of the same code,
+so a record that moves, disappears or changes its args passes them as
+long as it does so every time.  ``golden_traces.json`` holds the sha256
+of the deterministic JSONL export (:func:`repro.obs.export.jsonl_lines`)
+of five traced negotiations, recorded before the traced and untraced
+twin methods of each layer were merged into one span-wrapped body.
+
+Each case asserts that it reached the code path it is named for, so a
+digest cannot keep passing by no longer exercising that path.  A
+deliberate change to the records fails here and prints the new digest.
+
+Regenerate (only for an intended trace change)::
+
+    PYTHONPATH=src python -m tests.test_golden_traces --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.broker.service as broker_service
+from repro.bench.harness import build_world, trade
+from repro.broker import BrokerService
+from repro.faults import FaultPlan
+from repro.obs import Tracer
+from repro.obs.export import jsonl_lines
+from repro.trading import BargainingProtocol
+from repro.trading.commodity import offer_id_scope
+from repro.workload import chain_query
+
+GOLDEN_TRACES = Path(__file__).with_name("golden_traces.json")
+
+
+def _entry(records) -> dict:
+    """The golden entry of one case: record count and JSONL digest."""
+    text = "\n".join(jsonl_lines(records, deterministic_only=True))
+    return {
+        "records": len(records),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+def _names(records) -> set[str]:
+    return {record.name for record in records}
+
+
+def _library_trade(**kwargs) -> list:
+    world = build_world(nodes=8, n_relations=4, fragments=3, seed=7)
+    tracer = Tracer()
+    with offer_id_scope():
+        result = trade(world, chain_query(3), tracer=tracer, **kwargs)
+    assert result.found
+    return tracer.records
+
+
+def case_trade() -> list:
+    records = _library_trade()
+    solicits = [r for r in records if r.name == "protocol.solicit"]
+    assert solicits and all(r.args["protocol"] == "bidding" for r in solicits)
+    assert "ledger.award" in _names(records)
+    return records
+
+
+def case_bargaining() -> list:
+    records = _library_trade(protocol=BargainingProtocol())
+    solicits = [r for r in records if r.name == "protocol.solicit"]
+    assert any(r.args["protocol"] == "bargaining" for r in solicits)
+    return records
+
+
+def case_empty_sellers() -> list:
+    """Four of twelve sellers hold no fragment: their span still opens."""
+    world = build_world(
+        nodes=12, n_relations=4, fragments=2, replicas=1, seed=7
+    )
+    tracer = Tracer()
+    with offer_id_scope():
+        assert trade(world, chain_query(3), tracer=tracer).found
+    records = tracer.records
+    idle = {
+        r.site for r in records
+        if r.name == "seller.prepare_offers"
+        and r.args["offers"] == 0 and r.args["work"] == 0.0
+    }
+    assert {"node8", "node9", "node10", "node11"} <= idle
+    return records
+
+
+def case_fault_crash() -> list:
+    """A winner crashes after award: renegotiation and DP reassembly."""
+    world = build_world(
+        nodes=6, n_relations=4, fragments=2, replicas=2, seed=7
+    )
+    query = chain_query(3, selection_cat=3)
+    agents = dict(offer_cache=None, use_offer_cache=False)
+    with offer_id_scope():
+        clean = trade(world, query, timeout=0.05, **agents)
+    victim = clean.contracts[0].seller
+    plan = FaultPlan(seed=7).with_crash(victim, crash_at=1e6)
+    tracer = Tracer()
+    with offer_id_scope():
+        result = trade(
+            world, query, fault_plan=plan, timeout=0.05, tracer=tracer,
+            **agents,
+        )
+    assert result.found and result.resilience.renegotiations >= 1
+    records = tracer.records
+    assert {"resilience.renegotiate", "ledger.void"} <= _names(records)
+    # _reassemble's plan generation runs after the inner optimize().
+    reassembly = [
+        r for r in records
+        if r.name == "buyer.compute" and (r.args or {}).get("reassembly")
+    ]
+    assert reassembly
+    renegotiate = next(
+        r for r in records if r.name == "resilience.renegotiate"
+    )
+    assert any(
+        r.name == "buyer.plangen" and r.seq > renegotiate.seq
+        for r in records
+    )
+    return records
+
+
+def case_broker() -> list:
+    """One traced broker session, offers sorted by the broker's order."""
+    tracers: list[Tracer] = []
+    sorted_offers = [0]
+    order_key = broker_service._offer_order_key
+
+    class _Captured(Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    def counting_key(offer):
+        sorted_offers[0] += 1
+        return order_key(offer)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(broker_service, "Tracer", _Captured)
+        patch.setattr(broker_service, "_offer_order_key", counting_key)
+        service = BrokerService(
+            world_config=dict(
+                nodes=6, n_relations=4, rows=10_000, fragments=2,
+                replicas=2, seed=7,
+            )
+        )
+        try:
+            session = service.submit(
+                service.parse_spec(
+                    {"sql": chain_query(3).sql(), "trace": True}
+                )
+            )
+            assert session.wait(timeout=120.0)
+            assert session.result is not None and session.result.found
+        finally:
+            service.close()
+    assert len(tracers) == 1
+    assert sorted_offers[0] > 0, "the broker's offer sort never ran"
+    return tracers[0].records
+
+
+CASES = {
+    "trade": case_trade,
+    "bargaining": case_bargaining,
+    "empty_sellers": case_empty_sellers,
+    "fault_crash": case_fault_crash,
+    "broker": case_broker,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_bytes_match_golden(case):
+    got = _entry(CASES[case]())
+    expected = json.loads(GOLDEN_TRACES.read_text())[case]
+    assert got == expected, f"{case}: got {json.dumps(got)}"
+
+
+def _write() -> None:
+    golden = {name: _entry(run()) for name, run in CASES.items()}
+    GOLDEN_TRACES.write_text(
+        json.dumps(golden, indent=2, sort_keys=True) + "\n"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_golden_traces --write")
+    _write()

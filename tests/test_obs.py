@@ -178,6 +178,20 @@ def test_disabled_tracer_leaves_telemetry_unset():
     assert result.telemetry is None
 
 
+def test_untraced_trade_after_a_traced_one_records_nothing():
+    """A traced trade wires its tracer into the world's shared offer
+    cache; a later untraced trade over the same world must not append
+    to (or pay for) that old trace."""
+    world = build_world(
+        nodes=12, n_relations=4, fragments=4, replicas=2, seed=7
+    )
+    tracer = Tracer()
+    assert trade(world, chain_query(3, selection_cat=3), tracer=tracer).found
+    recorded = len(tracer.records)
+    assert trade(world, chain_query(4, selection_cat=2)).found
+    assert len(tracer.records) == recorded
+
+
 # ----------------------------------------------------------------------
 # Deterministic export: run-vs-run byte-identity
 # ----------------------------------------------------------------------
