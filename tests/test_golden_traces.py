@@ -1,11 +1,15 @@
-"""Trace bytes pinned across commits.
+"""Trace bytes and their critical paths pinned across commits.
 
 Trace byte-identity tests elsewhere compare two runs of the same code,
 so a record that moves, disappears or changes its args passes them as
-long as it does so every time.  ``golden_traces.json`` holds the sha256
-of the deterministic JSONL export (:func:`repro.obs.export.jsonl_lines`)
-of five traced negotiations, recorded before the traced and untraced
-twin methods of each layer were merged into one span-wrapped body.
+long as it does so every time.  ``golden_traces.json`` holds, for six
+traced negotiations, the sha256 of the deterministic JSONL export
+(:func:`repro.obs.export.jsonl_lines`), recorded before the traced and
+untraced twin methods of each layer were merged into one span-wrapped
+body, and the sha256 of the critical path read off the same records
+(:meth:`repro.obs.CriticalPath.to_json` and ``render(top=8)``),
+recorded while it was still computed by a forward replay of the
+protocol.
 
 Each case asserts that it reached the code path it is named for, so a
 digest cannot keep passing by no longer exercising that path.  A
@@ -29,7 +33,7 @@ import repro.broker.service as broker_service
 from repro.bench.harness import build_world, trade
 from repro.broker import BrokerService
 from repro.faults import FaultPlan
-from repro.obs import Tracer
+from repro.obs import CriticalPath, Tracer
 from repro.obs.export import jsonl_lines
 from repro.trading import BargainingProtocol
 from repro.trading.commodity import offer_id_scope
@@ -38,12 +42,21 @@ from repro.workload import chain_query
 GOLDEN_TRACES = Path(__file__).with_name("golden_traces.json")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _entry(records) -> dict:
-    """The golden entry of one case: record count and JSONL digest."""
-    text = "\n".join(jsonl_lines(records, deterministic_only=True))
+    """The golden entry of one case: record count, JSONL digest and the
+    digests of its critical path (JSON and rendered text)."""
+    critical = CriticalPath.from_records(records)
     return {
         "records": len(records),
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "sha256": _sha256(
+            "\n".join(jsonl_lines(records, deterministic_only=True))
+        ),
+        "critpath_sha256": _sha256(critical.to_json()),
+        "critpath_render_sha256": _sha256(critical.render(top=8)),
     }
 
 
@@ -129,6 +142,35 @@ def case_fault_crash() -> list:
     return records
 
 
+def case_fault_lossy() -> list:
+    """Drops, duplicates and delay spikes under round deadlines: a round
+    closed by its deadline, a round every seller left silent, and
+    re-issued RFB waves."""
+    world = build_world(nodes=8, n_relations=4, fragments=3, seed=7)
+    plan = FaultPlan.uniform(
+        drop_rate=0.7, duplicate_rate=0.1, delay_spike_rate=0.1,
+        delay_spike_seconds=0.02, seed=6,
+    )
+    tracer = Tracer()
+    with offer_id_scope():
+        result = trade(
+            world, chain_query(3), fault_plan=plan, timeout=0.05,
+            tracer=tracer,
+        )
+    assert result.found
+    records = tracer.records
+    assert {
+        "fault.drop", "fault.duplicate", "fault.delay_spike", "round.retry",
+    } <= _names(records)
+    critical = CriticalPath.from_records(records)
+    assert critical.total == result.optimization_time
+    rounds = [r for t in critical.trades for r in t["rounds"]]
+    kinds = [r["bottleneck"]["kind"] for r in rounds if r["bottleneck"]]
+    assert "deadline" in kinds and "silent" in kinds
+    assert any(r["waves"] > 1 for r in rounds)
+    return records
+
+
 def case_broker() -> list:
     """One traced broker session, offers sorted by the broker's order."""
     tracers: list[Tracer] = []
@@ -173,6 +215,7 @@ CASES = {
     "bargaining": case_bargaining,
     "empty_sellers": case_empty_sellers,
     "fault_crash": case_fault_crash,
+    "fault_lossy": case_fault_lossy,
     "broker": case_broker,
 }
 
