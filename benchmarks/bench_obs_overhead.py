@@ -25,8 +25,8 @@ negotiation (drops, duplicates, round deadlines — the configuration
 with the most causal-id stamping on the hot path) runs with no tracer
 vs a disabled tracer.  ``causal_overhead`` is that fractional cost and
 shares the <5% disabled-instrumentation gate; the analysis-side costs
-(building the causal DAG and replaying the critical path from an
-enabled trace) are reported ungated.
+(building the causal DAG and reading the critical path off an enabled
+trace) are reported ungated.
 
 Writes ``BENCH_obs.json`` at the repository root and enforces the
 documented contracts: the *null* mode — tracing compiled in but
@@ -141,9 +141,9 @@ def causal_case(repeats: int) -> dict:
     retry re-issues — so a faulty negotiation is where a disabled
     tracer would show causal-stamping overhead if it had any.  Also
     times the offline analyses an *enabled* trace pays for: building
-    the :class:`~repro.obs.causal.CausalDag` and replaying the
-    :class:`~repro.obs.critpath.CriticalPath` (which the replay itself
-    cross-checks: phases must tile the session's simulated time).
+    the :class:`~repro.obs.causal.CausalDag` and walking the
+    :class:`~repro.obs.critpath.CriticalPath` (cross-checked: phases
+    must tile the session's simulated time).
     """
     from repro.faults import FaultPlan
     from repro.obs import CausalDag, CriticalPath

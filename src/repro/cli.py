@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     critpath = sub.add_parser(
         "critical-path",
-        help="replay a traced negotiation's causal DAG and print its "
-             "critical path: per-phase latency decomposition, the "
+        help="read a traced negotiation's critical path off its "
+             "simulated timestamps: per-phase latency decomposition, the "
              "bottleneck seller/link of every round, top-k segments",
     )
     critpath.add_argument("path", help="trace file (JSONL/Chrome, .gz ok)")

@@ -64,13 +64,11 @@ class FaultInjector:
     every message it sends through :meth:`intercept` (a broadcast's
     recipients one by one, in order), which returns the transit
     delays of the surviving copies (an empty list means the message was
-    lost).  Returning *delays* rather than arrival instants matters:
-    the network schedules each copy at ``depart + delay`` and stamps
-    the same ``lat`` on the ``msg.deliver`` trace event, so the causal
-    critical-path replay (which recomputes ``depart + lat``) reproduces
-    the simulator's arithmetic bit-for-bit — and a clean link's delay
-    is the exact :meth:`Network.message_delay` value the fault-free
-    path stamps, keeping a null plan byte-invisible in the causal DAG.
+    lost).  The network schedules each copy at ``depart + delay`` and
+    stamps that ``lat`` on the ``msg.deliver`` trace event; a clean
+    link's delay is the exact :meth:`Network.message_delay` value the
+    fault-free path stamps, keeping a null plan byte-invisible in the
+    causal DAG.
     Aggregate drop/duplicate counters are mirrored into the network's
     :class:`~repro.net.simulator.NetworkStats` so trading results
     report them alongside message counts.

@@ -305,8 +305,9 @@ class ResilientTrader:
         net = trader.network
         work = result.enumerated * trader.plan_generator.seconds_per_plan
         finish = net.compute(trader.buyer, work)
-        # ``reassembly=True`` keeps the critical-path replay from
-        # mistaking this for a trading round's DP pass.
+        # ``reassembly=True`` keeps the critical path
+        # (:mod:`repro.obs.critpath`) from mistaking this for a trading
+        # round's DP pass.
         net.tracer.interval(
             "buyer.compute", "trading", site=trader.buyer,
             sim_start=finish - work, sim_end=finish,

@@ -426,12 +426,10 @@ class Network:
                 if injector is None:
                     continue
                 # The injector hands back each surviving copy's *transit
-                # delay*; scheduling at ``depart + lat`` and stamping
-                # that same ``lat`` keeps the simulator's and the
-                # critical-path replay's float arithmetic identical, so
-                # the replay is bitwise-exact.  Copies are never merged
-                # into shared entries: two copies can share an instant
-                # while a later-scheduled entry sorts between them.
+                # delay*, scheduled at ``depart + lat`` and stamped as
+                # ``lat`` on the delivery.  Copies are never merged into
+                # shared entries: two copies can share an instant while
+                # a later-scheduled entry sorts between them.
                 for copy, lat in enumerate(
                     injector.intercept(self, message, depart)
                 ):
@@ -455,10 +453,9 @@ class Network:
     ) -> None:
         """Hand every message of one heap entry to its recipient's
         handler, in order; a recipient unregistered since the send is
-        skipped.  ``lat`` is the transit delay the entry experienced —
-        deterministic (cost model + seeded fault draws), which is what
-        the causal critical-path replay (:mod:`repro.obs.critpath`)
-        rebuilds link time from without reading a timestamp."""
+        skipped.  ``lat`` is the transit delay the entry experienced
+        (cost model + seeded fault draws), stamped on each delivery's
+        trace event for the causal DAG (:mod:`repro.obs.causal`)."""
         self._riders -= len(messages) - 1
         handlers = self._handlers
         tracer = self.tracer

@@ -14,13 +14,14 @@ rebuilds the resulting causality graph from the trace:
     award step ──▶ AWARD / REJECT deliveries
     renegotiation ──▶ VOID notices
 
-The DAG is **timestamp-free**: it is assembled from ``(kind, name,
-args)`` only, sorted by causal id — the same contract as the
-deterministic JSONL exporter and the negotiation ledger.  The causal
-ids, per-delivery transit delays (``lat``), booked compute seconds and
-armed deadlines are all deterministic, so the DAG (and the critical
-path replayed from it, :mod:`repro.obs.critpath`) is byte-identical
-across repeated same-seed runs and broker worker counts.
+The DAG is assembled from ``(kind, name, args)`` only, sorted by
+causal id — the same contract as the deterministic JSONL exporter and
+the negotiation ledger.  The causal ids, per-delivery transit delays
+(``lat``), booked compute seconds and armed deadlines are all
+deterministic, so the DAG is byte-identical across repeated same-seed
+runs and broker worker counts.  The critical path
+(:mod:`repro.obs.critpath`) walks the same ``mid``/``parent`` stamps
+straight off the trace's simulated timestamps.
 
 Build one from a live tracer or from a trace file::
 
@@ -179,7 +180,8 @@ class CausalDag:
 
         Built once on first read: the nodes are final when
         :meth:`_build` returns, and :meth:`replies` reads this once per
-        message, so rebuilding it per read made a replay quadratic.
+        call, so rebuilding it per read would make a walk over every
+        message quadratic.
         """
         out: dict[int, list[int]] = {}
         for mid in sorted(self.nodes):

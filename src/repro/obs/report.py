@@ -176,7 +176,7 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
 def _critical_path(rows: Sequence[dict]):
     """The trace's critical path, or ``None`` for non-trading traces.
 
-    Reports must render whatever trace they are handed, so a replay
+    Reports must render whatever trace they are handed, so a walk
     that cannot make sense of the rows (truncated trace, foreign
     schema) degrades to "no critical-path section" rather than failing
     the whole report.

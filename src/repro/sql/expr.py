@@ -22,9 +22,7 @@ All expression objects are immutable and hashable so they can be used as
 dictionary keys throughout the optimizer.  Compound nodes cache their
 structural hash and their ``columns()`` set after the first computation
 (recursive recomputation otherwise dominates the dict-keyed hot paths in
-the buyer DP and the seller offer cache); the caches are dropped when an
-expression is pickled, because ``hash(str)`` is salted per process and a
-shipped hash would be wrong in the receiving worker.
+the buyer DP and the seller offer cache).
 """
 
 from __future__ import annotations
@@ -75,12 +73,6 @@ _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _FLIPPED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-#: Per-instance memo attributes that must never travel across processes:
-#: cached hashes embed salted string hashes, and the columns frozenset and
-#: the rendered SQL are cheaper to rebuild than to ship.
-_EXPR_CACHE_ATTRS = ("_hash_memo", "_columns_memo", "_sql_memo")
-
-
 class Expr:
     """Base class for all boolean/scalar expressions."""
 
@@ -120,12 +112,6 @@ class Expr:
             memo = hash(parts)
             object.__setattr__(self, "_hash_memo", memo)
         return memo
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        for attr in _EXPR_CACHE_ATTRS:
-            state.pop(attr, None)
-        return state
 
     def tables(self) -> frozenset[str]:
         """Aliases of all relations referenced in this expression."""
@@ -569,17 +555,6 @@ class _Bool(Expr):
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Bool) and other.value == self.value
-
-    def __reduce__(self):
-        # TRUE/FALSE are singletons compared with ``is`` throughout the
-        # optimizer; unpickling must hand back the process-local
-        # singleton, never a fresh _Bool (a copy would silently change
-        # costing decisions like ``selection is not TRUE`` in workers).
-        return (_bool_singleton, (self.value,))
-
-
-def _bool_singleton(value: bool) -> "_Bool":
-    return TRUE if value else FALSE
 
 
 TRUE = _Bool(True)

@@ -300,13 +300,6 @@ class SPJQuery:
             object.__setattr__(self, "_key_memo", memo)
         return memo
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_key_memo", None)
-        state.pop("_selection_memo", None)
-        state.pop("_subquery_memo", None)
-        return state
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

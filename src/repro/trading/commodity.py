@@ -181,11 +181,6 @@ class Offer:
             self.exact_projections,
         )
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_coverage_key_memo", None)
-        return state
-
     def describe(self) -> str:
         cov = "; ".join(
             f"{alias}:{sorted(fids)}"

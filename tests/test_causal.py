@@ -1,18 +1,21 @@
-"""Causal DAG + critical-path decomposition: structure, exact replay.
+"""Causal DAG + critical-path decomposition: structure, exact timing.
 
 The contract under test (``repro.obs.causal`` / ``repro.obs.critpath``):
 
 * the DAG is built from causal ids and record *args* only, so the same
-  seed produces the same bytes on every run and clock;
-* the critical-path replay recomputes the session timeline from the
-  deterministic args (per-delivery ``lat``, compute ``work``, armed
-  deadlines) and reproduces the simulated optimization time *bitwise*;
+  seed produces the same bytes on every run;
+* the critical path is read off the records' simulated timestamps,
+  never rebuilt from transit delays, compute work or deadlines, so its
+  total is the simulated optimization time *bitwise*;
 * phase attributions tile each round, and rounds tile the session —
-  the decomposition never invents or loses simulated time.
+  the decomposition never invents or loses simulated time;
+* a Chrome trace (microsecond float timestamps) gives the same
+  decomposition as the JSONL one, to within float rounding.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -30,10 +33,14 @@ from repro.obs import (
     CausalDag,
     CriticalPath,
     Tracer,
+    load_trace,
+    write_chrome_trace,
+    write_jsonl,
 )
 from repro.obs.tracer import NO_PARENT
 from repro.trading import BiddingProtocol, BuyerPlanGenerator, QueryTrader
 from repro.workload import chain_query
+from tests.test_golden_traces import case_fault_lossy
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,51 @@ def _traced(world, query, *, plan=None, timeout=None):
         )
     assert m.found
     return m, tracer
+
+
+@pytest.fixture(scope="module")
+def lossy_records():
+    """Drops, duplicates, delay spikes, silent and deadline-bound rounds."""
+    return case_fault_lossy()
+
+
+def _segment_identity(segment: dict) -> tuple:
+    return (
+        segment["trade"],
+        -1 if segment["round"] is None else segment["round"],
+        PHASES.index(segment["phase"]),
+        segment["site"] or "",
+        segment["link"] or "",
+        -1 if segment["mid"] is None else segment["mid"],
+        segment["seconds"],
+    )
+
+
+def assert_close_payloads(expected, got, rel_tol=1e-12, path="$"):
+    """*got* has *expected*'s structure, every float within *rel_tol*.
+
+    Segments are matched by identity, not rank: two segments whose
+    seconds tie in one trace may differ in the last bit in the other.
+    """
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and got.keys() == expected.keys(), path
+        for key in expected:
+            left, right = expected[key], got[key]
+            if key == "segments" and isinstance(left, list):
+                left = sorted(left, key=_segment_identity)
+                right = sorted(right, key=_segment_identity)
+            assert_close_payloads(left, right, rel_tol, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), path
+        for i, (left, right) in enumerate(zip(expected, got)):
+            assert_close_payloads(left, right, rel_tol, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, expected, rel_tol=rel_tol), (
+            path, expected, got,
+        )
+    else:
+        assert got == expected, (path, expected, got)
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +163,7 @@ class TestCausalDag:
 
 # ----------------------------------------------------------------------
 class TestCriticalPath:
-    def test_fault_free_replay_is_bitwise_exact(self, world):
+    def test_fault_free_total_is_bitwise_exact(self, world):
         m, tracer = _traced(world, chain_query(3, selection_cat=3))
         critical = CriticalPath.from_records(tracer.records)
         assert critical is not None
@@ -137,7 +189,7 @@ class TestCriticalPath:
                     rel_tol=1e-9, abs_tol=1e-12,
                 )
 
-    def test_faulty_replay_is_bitwise_exact(self, world):
+    def test_faulty_total_is_bitwise_exact(self, world):
         plan = FaultPlan.uniform(
             drop_rate=0.15, duplicate_rate=0.1, delay_spike_rate=0.1,
             delay_spike_seconds=0.02, seed=11,
@@ -150,7 +202,7 @@ class TestCriticalPath:
         assert critical.total == m.optimization_time
         assert critical.reconciles()
 
-    def test_renegotiation_replay_and_phase(self, world):
+    def test_renegotiation_total_and_phase(self, world):
         query = chain_query(3, selection_cat=3)
         clean, _ = _traced(world, query)
         # Crash the winning seller post-award to force a renegotiation.
@@ -200,6 +252,37 @@ class TestCriticalPath:
             == CausalDag.from_records(tracer.records).to_json()
         )
 
+    def test_durations_are_read_off_timestamps(self, lossy_records, tmp_path):
+        """Zeroing every transit delay, compute work and deadline arg
+        changes nothing: no duration is rebuilt from them."""
+        path = tmp_path / "lossy.jsonl"
+        write_jsonl(lossy_records, str(path))
+        rows = load_trace(str(path))
+        expected = CriticalPath.from_rows(rows).to_json()
+        blanked = copy.deepcopy(rows)
+        zeroed = 0
+        for row in blanked:
+            for key in ("lat", "work", "deadline"):
+                if key in row["args"]:
+                    row["args"][key] = 0.0
+                    zeroed += 1
+        assert zeroed > 100
+        assert CriticalPath.from_rows(blanked).to_json() == expected
+
+    def test_chrome_trace_matches_jsonl(self, lossy_records, tmp_path):
+        """Chrome traces carry microsecond floats: same decomposition,
+        every float within 1e-12 relative."""
+        jsonl, chrome = tmp_path / "t.jsonl", tmp_path / "t.json"
+        write_jsonl(lossy_records, str(jsonl))
+        write_chrome_trace(lossy_records, str(chrome))
+        expected = CriticalPath.from_rows(load_trace(str(jsonl)))
+        got = CriticalPath.from_rows(load_trace(str(chrome)))
+        assert expected.to_json() == CriticalPath.from_records(
+            lossy_records
+        ).to_json()
+        assert_close_payloads(expected.to_dict(), got.to_dict())
+        assert got.reconciles()
+
     def test_render_and_top_segments(self, world):
         _, tracer = _traced(world, chain_query(3, selection_cat=3))
         critical = CriticalPath.from_records(tracer.records)
@@ -233,7 +316,7 @@ class TestTelemetryIntegration:
         stored = result.telemetry.critical_path
         assert stored is not None
         assert stored["total"] == result.optimization_time
-        # The stored decomposition is exactly what a fresh replay gives.
+        # The stored decomposition is exactly what a fresh walk gives.
         fresh = CriticalPath.from_records(tracer.records).to_dict()
         assert json.dumps(stored, sort_keys=True) == json.dumps(
             fresh, sort_keys=True
