@@ -56,9 +56,11 @@ class AdmissionController:
     """Thread-safe admit/shed decisions plus occupancy accounting.
 
     ``try_admit`` charges a queue slot; ``on_start`` moves the session
-    from queued to running; ``on_finish`` releases it.  The counters
-    feed the broker's gauges (queue depth, active sessions) and
-    admit/shed totals.
+    from queued to running; ``on_finish`` releases it.  The controller
+    is the broker's one store of occupancy — current and peak queue
+    depth and running sessions — and of the admitted total.  Shed
+    sessions are counted where every terminal state is, in the
+    broker's metrics registry.
     """
 
     def __init__(self, config: AdmissionConfig):
@@ -66,16 +68,17 @@ class AdmissionController:
         self._lock = threading.Lock()
         self.queued = 0
         self.running = 0
+        self.queued_peak = 0
+        self.running_peak = 0
         self.admitted_total = 0
-        self.shed_total = 0
 
     def try_admit(self) -> bool:
         """Claim a queue slot; ``False`` means shed (queue full)."""
         with self._lock:
             if self.queued >= self.config.queue_limit:
-                self.shed_total += 1
                 return False
             self.queued += 1
+            self.queued_peak = max(self.queued_peak, self.queued)
             self.admitted_total += 1
             return True
 
@@ -83,6 +86,7 @@ class AdmissionController:
         with self._lock:
             self.queued -= 1
             self.running += 1
+            self.running_peak = max(self.running_peak, self.running)
 
     def on_finish(self) -> None:
         with self._lock:
@@ -94,6 +98,7 @@ class AdmissionController:
             return {
                 "queued": self.queued,
                 "running": self.running,
+                "queued_peak": self.queued_peak,
+                "running_peak": self.running_peak,
                 "admitted_total": self.admitted_total,
-                "shed_total": self.shed_total,
             }

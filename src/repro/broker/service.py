@@ -10,8 +10,10 @@ One :class:`BrokerService` owns
   stays per-session,
 * the **admission controller** and **session manager** (worker
   threads), and
-* a :class:`~repro.obs.metrics.MetricsRegistry` with the serving
-  gauges/counters plus a latency reservoir for p50/p99.
+* the serving counts, each in one store that both metric surfaces read
+  under one lock: occupancy in the admission controller, per-state
+  session counts in a :class:`~repro.obs.metrics.MetricsRegistry`, and
+  session latency in a :class:`~repro.obs.live.sketch.QuantileSketch`.
 
 Each session gets a *private* network (+ tracer, when the submit asks
 for ``"trace": true`` or the broker runs with live observability) and
@@ -45,13 +47,17 @@ from typing import Mapping
 from repro.bench.harness import BUYER, World, build_world
 from repro.broker.admission import AdmissionConfig, AdmissionController
 from repro.broker.sessions import (
+    COMPLETED,
+    DEGRADED,
+    FAILED,
+    SHED,
     BrokerSession,
     SessionManager,
     SessionSpec,
-    SHED,
 )
 from repro.net import Network
 from repro.obs import Tracer, explain
+from repro.obs.live.sketch import QuantileSketch
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import ParseError, parse_query
 from repro.trading import BiddingProtocol, BuyerPlanGenerator, QueryTrader
@@ -113,14 +119,30 @@ class OrderedBiddingProtocol(BiddingProtocol):
         return result
 
 
-#: Latency reservoir cap — enough for percentile fidelity at bench
-#: scale without unbounded growth in a long-lived daemon.
-_MAX_LATENCIES = 4096
-
 #: Upper bounds (milliseconds) of the ``broker.session_latency_ms``
 #: histogram's buckets; the registry's default buckets are in simulated
 #: seconds.
 _LATENCY_MS_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+
+#: The ``/metrics/prom`` families of top-level rollup fields:
+#: ``(builder method, family, rollup key, help)``.
+_ROLLUP_FAMILIES = (
+    ("gauge", "broker_uptime_seconds", "uptime_s",
+     "seconds since the broker service started"),
+    ("gauge", "broker_sessions_active", "active_sessions",
+     "sessions currently negotiating"),
+    ("gauge", "broker_active_sessions_peak", "active_sessions_peak",
+     "most sessions negotiating at once since start"),
+    ("gauge", "broker_sessions_queued", "queue_depth",
+     "sessions admitted but not yet running"),
+    ("gauge", "broker_queue_depth_peak", "queue_depth_peak",
+     "most sessions queued at once since start"),
+    ("counter", "broker_admitted", "admitted_total",
+     "sessions admitted since start"),
+    ("counter", "broker_shed", "shed_total", "sessions shed since start"),
+    ("counter", "broker_completed", "completed_total",
+     "sessions that finished negotiating since start"),
+)
 
 #: Retention defaults: how many terminal sessions stay addressable, and
 #: for how long after they finish.  A retained session holds ~26 KB, or
@@ -130,14 +152,6 @@ RETAIN_SECONDS = 600.0
 
 #: The ids ``submit`` mints: ``s<n>``, n counting from 1.
 _ISSUED_ID = re.compile(r"s([1-9][0-9]*)")
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (q in [0, 1])."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
 
 
 class BrokerService:
@@ -183,16 +197,20 @@ class BrokerService:
         #: eviction order.  Queued and running sessions are not in it,
         #: so they cannot be evicted.
         self._terminal: deque[BrokerSession] = deque()
+        #: Guards the session tables and the serving counts: ``metrics``
+        #: (a ``MetricsRegistry`` takes no lock), latency, cache totals.
         self._lock = threading.Lock()
         #: Ids are ``s1..s<issued>``: one of those that is no longer in
         #: ``_sessions`` was evicted (410), anything else never existed.
         self._issued = 0
-        self._latencies: list[float] = []
+        #: Submit-to-finish latency (ms) of every session that ran.
+        self._latency_ms = QuantileSketch()
         #: Cross-session cache accounting, accumulated from terminal
         #: sessions (per-session stats stay on each result).
         self._cache_totals = CacheStats()
-        self.manager = SessionManager(
-            self._run_session, self.controller, on_terminal=self.note_terminal
+        self.manager = SessionManager(  # _negotiate is looked up per call
+            lambda session: self._negotiate(session), self.controller,
+            on_terminal=self.note_terminal,
         )
         #: Opt-in MQO epoch scheduler — when enabled, submitted sessions
         #: batch into trading epochs (shared-commodity interning +
@@ -250,7 +268,7 @@ class BrokerService:
             self._issued += 1
             session = BrokerSession(f"s{self._issued}", spec)
             self._sessions[session.session_id] = session
-        self.metrics.inc("broker.sessions_submitted", tenant=spec.tenant)
+            self.metrics.inc("broker.sessions_submitted", tenant=spec.tenant)
         if self.live is not None:
             self.live.observe_submitted(session)
         if self.mqo is not None:
@@ -266,13 +284,8 @@ class BrokerService:
         """Release one session to the worker pool (the MQO epoch
         scheduler's dispatch hook; also the MQO-off direct path)."""
         self.manager.submit(session)
-        self._update_gauges()
 
     # -- the per-session negotiation --------------------------------------
-    def _run_session(self, session: BrokerSession) -> None:
-        self._update_gauges()
-        self._negotiate(session)
-
     def _negotiate(self, session: BrokerSession) -> None:
         # Each worker thread has its own contextvars context; the scope
         # gives this session a fresh offer-id counter inside it.
@@ -321,24 +334,21 @@ class BrokerService:
     def note_terminal(self, session: BrokerSession) -> None:
         """Metrics hook: record a session reaching its terminal state."""
         state = session.state
-        self.metrics.inc(f"broker.sessions_{state}", tenant=session.spec.tenant)
-        if session.result is not None:
-            with self._lock:
-                self._cache_totals.add(session.result.cache)
-        latency = session.latency
-        if latency is not None and state != SHED:
-            self.metrics.observe(
-                "broker.session_latency_ms", latency * 1e3,
-                _LATENCY_MS_BUCKETS,
+        with self._lock:
+            self.metrics.inc(
+                f"broker.sessions_{state}", tenant=session.spec.tenant
             )
-            with self._lock:
-                self._latencies.append(latency)
-                if len(self._latencies) > _MAX_LATENCIES:
-                    del self._latencies[: -_MAX_LATENCIES]
+            if session.result is not None:
+                self._cache_totals.add(session.result.cache)
+            if state != SHED:
+                latency_ms = session.latency * 1e3
+                self.metrics.observe(
+                    "broker.session_latency_ms", latency_ms, _LATENCY_MS_BUCKETS
+                )
+                self._latency_ms.add(latency_ms)
+            self._retire(session)
         if self.live is not None:
             self.live.observe_terminal(session)
-        self._retire(session)
-        self._update_gauges()
 
     def _retire(self, session: BrokerSession) -> None:
         """Enter *session* into the retention window and evict what has
@@ -347,24 +357,19 @@ class BrokerService:
         session finishes, not where a client asks about one.
 
         A shed session never ran and is not retained at all, so a flood
-        of shed submits cannot push real results out of the window."""
+        of shed submits cannot push real results out of the window.
+        The caller holds ``_lock``."""
+        if session.state == SHED:
+            self._sessions.pop(session.session_id, None)
+            return
         horizon = session.finished_at - self.retain_seconds
-        with self._lock:
-            if session.state == SHED:
-                self._sessions.pop(session.session_id, None)
-                return
-            self._terminal.append(session)
-            while (
-                len(self._terminal) > self.retain_sessions
-                or self._terminal[0].finished_at < horizon
-            ):
-                evicted = self._terminal.popleft()
-                self._sessions.pop(evicted.session_id, None)
-
-    def _update_gauges(self) -> None:
-        occupancy = self.controller.occupancy()
-        self.metrics.gauge_set("broker.active_sessions", occupancy["running"])
-        self.metrics.gauge_set("broker.queue_depth", occupancy["queued"])
+        self._terminal.append(session)
+        while (
+            len(self._terminal) > self.retain_sessions
+            or self._terminal[0].finished_at < horizon
+        ):
+            evicted = self._terminal.popleft()
+            self._sessions.pop(evicted.session_id, None)
 
     # -- queries -----------------------------------------------------------
     def get(self, session_id: str) -> BrokerSession:
@@ -460,33 +465,35 @@ class BrokerService:
 
         ``/metrics`` (JSON) and ``/metrics/prom`` (Prometheus text) are
         generated from this dict field-for-field, so the two surfaces
-        cannot drift apart.
+        cannot drift apart.  The caller holds ``_lock``.
         """
         occupancy = self.controller.occupancy()
-        with self._lock:
-            latencies = sorted(self._latencies)
-            cache = self._cache_totals.snapshot()
+        cache = self._cache_totals.snapshot()
         # Counted as sessions finish, so evicted sessions stay in them.
-        finished = {
+        states = {
             state: self.metrics.total(f"broker.sessions_{state}")
-            for state in ("completed", "degraded", "failed")
+            for state in (SHED, COMPLETED, DEGRADED, FAILED)
         }
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "active_sessions": occupancy["running"],
+            "active_sessions_peak": occupancy["running_peak"],
             "queue_depth": occupancy["queued"],
+            "queue_depth_peak": occupancy["queued_peak"],
             "admitted_total": occupancy["admitted_total"],
-            "shed_total": occupancy["shed_total"],
-            "completed_total": sum(finished.values()),
+            "shed_total": states[SHED],
+            "completed_total": (
+                states[COMPLETED] + states[DEGRADED] + states[FAILED]
+            ),
             "states": {
                 "active": occupancy["running"],
                 "queued": occupancy["queued"],
-                "shed": occupancy["shed_total"],
-                **finished,
+                **states,
             },
+            # Bucket upper bounds: at most 5 % above the exact rank.
             "latency_ms": {
-                "p50": round(_percentile(latencies, 0.50) * 1e3, 3),
-                "p99": round(_percentile(latencies, 0.99) * 1e3, 3),
+                "p50": round(self._latency_ms.quantile(0.50), 3),
+                "p99": round(self._latency_ms.quantile(0.99), 3),
             },
             "cache": {
                 "hits": cache.hits,
@@ -496,53 +503,32 @@ class BrokerService:
             },
         }
 
+    def _slo(self, rollup: dict) -> dict:
+        """The live SLO summary, judged on the rollup's totals."""
+        return self.live.slo.summary(
+            completed=rollup["completed_total"],
+            shed=rollup["shed_total"],
+            degraded=rollup["states"][DEGRADED],
+        )
+
     def metrics_payload(self) -> dict:
         """Serving metrics: occupancy, per-state counts, p50/p99 latency."""
-        payload = dict(self._rollup())
-        payload["registry"] = self.metrics.to_dict()
+        with self._lock:
+            payload = self._rollup()
+            payload["registry"] = self.metrics.to_dict()
         if self.mqo is not None:
             payload["mqo"] = self.mqo.metrics()
         if self.live is not None:
-            payload["slo"] = self.live.slo.summary()
+            payload["slo"] = self._slo(payload)
         return payload
 
     def prom_payload(self) -> str:
         """The ``GET /metrics/prom`` Prometheus text exposition."""
         from repro.obs.live.prom import render_prometheus
 
-        rollup = self._rollup()
-
         def broker_families(builder) -> None:
-            builder.gauge(
-                "broker_uptime_seconds",
-                "seconds since the broker service started",
-                rollup["uptime_s"],
-            )
-            builder.gauge(
-                "broker_sessions_active",
-                "sessions currently negotiating",
-                rollup["active_sessions"],
-            )
-            builder.gauge(
-                "broker_sessions_queued",
-                "sessions admitted but not yet running",
-                rollup["queue_depth"],
-            )
-            builder.counter(
-                "broker_admitted",
-                "sessions admitted since start",
-                rollup["admitted_total"],
-            )
-            builder.counter(
-                "broker_shed",
-                "sessions shed at admission since start",
-                rollup["shed_total"],
-            )
-            builder.counter(
-                "broker_completed",
-                "sessions that finished negotiating since start",
-                rollup["completed_total"],
-            )
+            for kind, family, key, help_text in _ROLLUP_FAMILIES:
+                getattr(builder, kind)(family, help_text, rollup[key])
             for state, count in sorted(rollup["states"].items()):
                 builder.gauge(
                     "broker_session_states",
@@ -581,9 +567,14 @@ class BrokerService:
                         )
 
         builders = [broker_families]
-        if self.live is not None:
-            builders.append(self.live.prom_families)
-        return render_prometheus(self.metrics, build=builders)
+        with self._lock:  # the registry is read as it renders
+            rollup = self._rollup()
+            if self.live is not None:
+                slo = self._slo(rollup)
+                builders.append(
+                    lambda builder: self.live.prom_families(builder, slo)
+                )
+            return render_prometheus(self.metrics, build=builders)
 
     def events_payload(self, since: int = 0, limit: int = 1000) -> dict:
         """The ``GET /events?since=`` ring-buffer page."""

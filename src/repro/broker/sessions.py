@@ -162,19 +162,17 @@ class SessionManager:
 
     def submit(self, session: BrokerSession) -> bool:
         """Admit *session* (queue it) or shed it; returns admitted."""
-        if not self._controller.try_admit():
-            self._finish(session, SHED, error="queue full")
-            return False
         with self._cond:
             if self._stopping:
-                # Undo the admission: the broker is closing.
-                self._controller.on_start()
-                self._controller.on_finish()
-                self._finish(session, SHED, error="broker shutting down")
-                return False
-            self._queue.append(session)
-            self._cond.notify()
-        return True
+                error = "broker shutting down"
+            elif not self._controller.try_admit():
+                error = "queue full"
+            else:
+                self._queue.append(session)
+                self._cond.notify()
+                return True
+        self._finish(session, SHED, error=error)
+        return False
 
     def _finish(
         self, session: BrokerSession, state: str, error: str | None = None
@@ -185,10 +183,6 @@ class SessionManager:
                 self._on_terminal(session)
         finally:
             session.mark_done()
-
-    def queue_depth(self) -> int:
-        with self._cond:
-            return len(self._queue)
 
     def _work(self) -> None:
         while True:
@@ -201,18 +195,19 @@ class SessionManager:
             self._controller.on_start()
             session.state = RUNNING
             session.started_at = time.monotonic()
+            error = None
             try:
                 self._runner(session)
             except Exception as exc:  # a failed session must not kill the worker
-                self._finish(
-                    session, FAILED, error=f"{type(exc).__name__}: {exc}"
-                )
+                state, error = FAILED, f"{type(exc).__name__}: {exc}"
             else:
                 result = session.result
                 degraded = result is not None and result.budget_exhausted
-                self._finish(session, DEGRADED if degraded else COMPLETED)
-            finally:
-                self._controller.on_finish()
+                state = DEGRADED if degraded else COMPLETED
+            # Release the slot before the terminal bookkeeping, so a
+            # session that reads as finished no longer reads as running.
+            self._controller.on_finish()
+            self._finish(session, state, error=error)
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting work, drain the queue, join the workers."""

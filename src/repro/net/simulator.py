@@ -121,7 +121,8 @@ class Simulator:
                 f"schedule_at({when!r}) is in the past (now={self.now!r}); "
                 "pass allow_past=True to clamp to now"
             )
-        self.schedule(max(0.0, when - self.now), fn)
+        heapq.heappush(self._queue, (max(when, self.now), self._seq, fn, None))
+        self._seq += 1
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Process events in time order until the queue drains.

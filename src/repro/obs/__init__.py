@@ -17,7 +17,7 @@ the event schema, the span hierarchy, the decision-ledger model, and
 the determinism/overhead contracts.
 """
 
-from repro.obs.causal import CAUSAL_SCHEMA_VERSION, CausalDag, causal_events
+from repro.obs.causal import CAUSAL_SCHEMA_VERSION, CausalDag
 from repro.obs.critpath import (
     CRITPATH_SCHEMA_VERSION,
     PHASES,
@@ -71,7 +71,6 @@ __all__ = [
     "TraceDiff",
     "TraceRecord",
     "Tracer",
-    "causal_events",
     "check_drift",
     "check_gates",
     "chrome_trace_events",

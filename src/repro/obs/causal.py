@@ -38,13 +38,13 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.obs.tracer import NO_PARENT, TraceRecord
 
-__all__ = ["CausalDag", "CAUSAL_SCHEMA_VERSION", "causal_events"]
+__all__ = ["CausalDag", "CAUSAL_SCHEMA_VERSION"]
 
 #: Bump when the DAG's JSON shape changes.
 CAUSAL_SCHEMA_VERSION = 1
 
 
-def causal_events(
+def _causal_events(
     records: Sequence[TraceRecord] | None = None,
     rows: Iterable[dict] | None = None,
 ) -> Iterator[tuple[str, str, str, dict]]:
@@ -99,11 +99,11 @@ class CausalDag:
     # ------------------------------------------------------------------
     @classmethod
     def from_records(cls, records: Sequence[TraceRecord]) -> "CausalDag":
-        return cls._build(causal_events(records=records))
+        return cls._build(_causal_events(records=records))
 
     @classmethod
     def from_rows(cls, rows: Iterable[dict]) -> "CausalDag":
-        return cls._build(causal_events(rows=rows))
+        return cls._build(_causal_events(rows=rows))
 
     @classmethod
     def _build(

@@ -24,8 +24,8 @@ whole-run traces in memory.
   strict parser the tests and CI validate it with.
 * :class:`EventRing` — a bounded ring buffer of recent broker events
   behind ``GET /events?since=``.
-* :class:`SLOTracker` — p50/p99 session latency plus shed/degraded
-  budget tracking, per-run and per fixed-size session epoch.
+* :class:`SLOTracker` — shed/degraded budget tracking: run ratios of
+  the broker's own totals, plus a fixed-size session epoch window.
 * :class:`LiveObsHub` — the broker-facing coordinator tying the above
   together (see :class:`repro.broker.service.BrokerService`).
 
@@ -44,7 +44,7 @@ from repro.obs.live.prom import (
 from repro.obs.live.qerror import QERROR_BUCKETS, QErrorObservatory
 from repro.obs.live.registry import SiteStatsRegistry
 from repro.obs.live.sketch import QuantileSketch
-from repro.obs.live.slo import SLOConfig, SLOTracker
+from repro.obs.live.slo import SLOTracker
 
 __all__ = [
     "EventRing",
@@ -54,7 +54,6 @@ __all__ = [
     "QERROR_BUCKETS",
     "QErrorObservatory",
     "QuantileSketch",
-    "SLOConfig",
     "SLOTracker",
     "SiteStatsRegistry",
     "parse_prometheus_text",

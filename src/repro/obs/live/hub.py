@@ -6,8 +6,8 @@ A :class:`LiveObsHub` owns the live registries and is the *only* thing
 
 * the :class:`~repro.obs.live.registry.SiteStatsRegistry` (ledger +
   trace records),
-* the :class:`~repro.obs.live.slo.SLOTracker` (latency, shed/degraded
-  budgets),
+* the :class:`~repro.obs.live.slo.SLOTracker` (the SLO epoch window;
+  the run totals it judges are the broker's),
 * the :class:`~repro.obs.live.qerror.QErrorObservatory` on
   deterministically-sampled sessions (the purchased plan is re-executed
   against lazily-materialized federation data), and
@@ -22,12 +22,12 @@ never inflates reported session latency.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.live.events import DEFAULT_CAPACITY, EventRing
 from repro.obs.live.qerror import QErrorObservatory
 from repro.obs.live.registry import SiteStatsRegistry
-from repro.obs.live.slo import SLOConfig, SLOTracker
+from repro.obs.live.slo import SLOTracker
 
 __all__ = ["LiveObsConfig", "LiveObsHub"]
 
@@ -43,8 +43,6 @@ class LiveObsConfig:
     data_seed: int = 7
     #: `/events` ring capacity.
     events_capacity: int = DEFAULT_CAPACITY
-    #: SLO budgets.
-    slo: SLOConfig = field(default_factory=SLOConfig)
 
 
 def _numeric_session_id(session_id: str) -> int:
@@ -59,7 +57,7 @@ class LiveObsHub:
         self.config = config or LiveObsConfig()
         self.world = world
         self.registry = SiteStatsRegistry()
-        self.slo = SLOTracker(self.config.slo)
+        self.slo = SLOTracker()
         self.events = EventRing(self.config.events_capacity)
         self.qerror = (
             QErrorObservatory(self.config.qerror_sample_every)
@@ -88,11 +86,7 @@ class LiveObsHub:
             )
             return
         latency = session.latency or 0.0
-        self.slo.observe_completion(
-            latency,
-            degraded=(state == "degraded"),
-            failed=(state == "failed"),
-        )
+        self.slo.observe_completion(latency, degraded=(state == "degraded"))
         result = session.result
         ledger = result.ledger if result is not None else None
         records = getattr(session, "live_records", None)
@@ -154,8 +148,9 @@ class LiveObsHub:
             payload["qerror_failures"] = self.qerror_failures
         return payload
 
-    def prom_families(self, builder) -> None:
-        """Contribute live-obs metric families to the Prometheus builder."""
+    def prom_families(self, builder, slo: dict) -> None:
+        """Contribute live-obs metric families to the Prometheus builder;
+        *slo* is the :meth:`SLOTracker.summary` the JSON surface shows."""
         from repro.obs.live.qerror import QERROR_BUCKETS
         from repro.obs.live.sketch import QuantileSketch
 
@@ -252,7 +247,6 @@ class LiveObsHub:
                 sketch.quantile(0.95),
                 phase=phase,
             )
-        slo = self.slo.summary()
         builder.gauge(
             "slo_shed_ratio", "shed sessions / arrivals", slo["shed_ratio"]
         )
@@ -271,13 +265,6 @@ class LiveObsHub:
             "1 when the degraded ratio is within budget",
             int(slo["degraded_within_budget"]),
         )
-        for quantile in ("p50", "p99"):
-            builder.gauge(
-                "slo_latency_seconds",
-                "session latency quantiles in seconds",
-                slo[f"latency_{quantile}_s"],
-                quantile=quantile,
-            )
         builder.gauge(
             "slo_epoch", "index of the current SLO epoch", slo["epoch"]["epoch"]
         )

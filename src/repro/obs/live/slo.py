@@ -1,128 +1,90 @@
-"""Per-run and per-epoch SLO tracking for the broker.
+"""Per-epoch SLO tracking for the broker.
 
-The broker's admission controller can shed or degrade sessions; the SLO
-tracker turns those raw counts into budget signals an operator can
-alert on: "is the shed ratio within budget, per run and over the last
-epoch of N sessions?", alongside p50/p99 session latency.
-
-Latency quantiles come from a :class:`~repro.obs.live.sketch.
-QuantileSketch`, so per-run aggregates are order-independent.  Epoch
-aggregates window over *completion order* — they are inherently an
-operational (wall-ish) signal and are excluded from byte-identity
-checks; the deterministic surface is the per-run totals.
+Turns shed and degraded sessions into budget signals an operator can
+alert on: "is the shed ratio within budget, over the run and over the
+last epoch of N sessions?".  The run ratios are judged on the broker's
+own totals, which :meth:`SLOTracker.summary` is handed; the tracker
+stores only what no other store has — the current and last closed
+epoch, with their latency quantiles in a :class:`~repro.obs.live.
+sketch.QuantileSketch`.  Epochs window over *completion order*, an
+operational signal excluded from byte-identity checks.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from repro.obs.live.sketch import QuantileSketch
 
-__all__ = ["SLOConfig", "SLOTracker"]
+__all__ = ["SHED_BUDGET", "DEGRADED_BUDGET", "EPOCH_SESSIONS", "SLOTracker"]
 
-
-@dataclass(frozen=True)
-class SLOConfig:
-    """SLO budgets: ratios in [0, 1], epoch size in sessions."""
-
-    shed_budget: float = 0.05      # fraction of arrivals that may be shed
-    degraded_budget: float = 0.10  # fraction of completions that may degrade
-    epoch_sessions: int = 32       # sessions per SLO epoch window
+SHED_BUDGET = 0.05  # fraction of arrivals that may be shed
+DEGRADED_BUDGET = 0.10  # fraction of completions that may degrade
+EPOCH_SESSIONS = 32  # sessions per SLO epoch window
 
 
 class SLOTracker:
-    """Counts terminal session outcomes against SLO budgets."""
+    """Windows terminal session outcomes into fixed-size SLO epochs."""
 
-    def __init__(self, config: SLOConfig | None = None) -> None:
-        self.config = config or SLOConfig()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.completed = 0
-        self.shed = 0
-        self.degraded = 0
-        self.failed = 0
-        self.latency = QuantileSketch()
-        # Current (partial) epoch accumulators.
         self._epoch_index = 0
-        self._epoch_completed = 0
-        self._epoch_shed = 0
-        self._epoch_degraded = 0
-        self._epoch_latency = QuantileSketch()
         self._last_epoch: dict | None = None
+        self._open_epoch()
 
-    # -- ingest --------------------------------------------------------
+    def _open_epoch(self) -> None:
+        self._completed = 0
+        self._shed = 0
+        self._degraded = 0
+        self._latency = QuantileSketch()
+
     def observe_shed(self) -> None:
         with self._lock:
-            self.shed += 1
-            self._epoch_shed += 1
+            self._shed += 1
             self._maybe_roll()
 
-    def observe_completion(
-        self, latency_s: float, *, degraded: bool = False, failed: bool = False
-    ) -> None:
+    def observe_completion(self, latency_s: float, *, degraded: bool) -> None:
         with self._lock:
-            self.completed += 1
-            self._epoch_completed += 1
-            if degraded:
-                self.degraded += 1
-                self._epoch_degraded += 1
-            if failed:
-                self.failed += 1
-            self.latency.add(latency_s)
-            self._epoch_latency.add(latency_s)
+            self._completed += 1
+            self._degraded += degraded
+            self._latency.add(latency_s)
             self._maybe_roll()
 
     def _maybe_roll(self) -> None:
-        total = self._epoch_completed + self._epoch_shed
-        if total < self.config.epoch_sessions:
-            return
-        self._last_epoch = self._epoch_summary_locked()
-        self._epoch_index += 1
-        self._epoch_completed = 0
-        self._epoch_shed = 0
-        self._epoch_degraded = 0
-        self._epoch_latency = QuantileSketch()
+        if self._completed + self._shed >= EPOCH_SESSIONS:
+            self._last_epoch = self._epoch_locked()
+            self._epoch_index += 1
+            self._open_epoch()
 
-    # -- read ----------------------------------------------------------
-    def _epoch_summary_locked(self) -> dict:
-        total = self._epoch_completed + self._epoch_shed
+    def _epoch_locked(self) -> dict:
+        total = self._completed + self._shed
         return {
             "epoch": self._epoch_index,
             "sessions": total,
-            "completed": self._epoch_completed,
-            "shed": self._epoch_shed,
-            "degraded": self._epoch_degraded,
-            "shed_ratio": round(self._epoch_shed / total, 6) if total else 0.0,
-            "latency_p50_s": self._epoch_latency.quantile(0.5),
-            "latency_p99_s": self._epoch_latency.quantile(0.99),
+            "completed": self._completed,
+            "shed": self._shed,
+            "degraded": self._degraded,
+            "shed_ratio": round(self._shed / total, 6) if total else 0.0,
+            "latency_p50_s": self._latency.quantile(0.5),
+            "latency_p99_s": self._latency.quantile(0.99),
         }
 
-    def summary(self) -> dict:
-        """Run totals, current-epoch progress, and last closed epoch."""
+    def summary(self, *, completed: int, shed: int, degraded: int) -> dict:
+        """Run ratios of the broker's totals (*completed*: sessions run)."""
+        shed_ratio = shed / (completed + shed) if completed + shed else 0.0
+        degraded_ratio = degraded / completed if completed else 0.0
         with self._lock:
-            arrivals = self.completed + self.shed
-            shed_ratio = self.shed / arrivals if arrivals else 0.0
-            degraded_ratio = (
-                self.degraded / self.completed if self.completed else 0.0
-            )
-            return {
-                "config": {
-                    "shed_budget": self.config.shed_budget,
-                    "degraded_budget": self.config.degraded_budget,
-                    "epoch_sessions": self.config.epoch_sessions,
-                },
-                "completed": self.completed,
-                "shed": self.shed,
-                "degraded": self.degraded,
-                "failed": self.failed,
-                "shed_ratio": round(shed_ratio, 6),
-                "shed_within_budget": shed_ratio <= self.config.shed_budget,
-                "degraded_ratio": round(degraded_ratio, 6),
-                "degraded_within_budget": (
-                    degraded_ratio <= self.config.degraded_budget
-                ),
-                "latency_p50_s": self.latency.quantile(0.5),
-                "latency_p99_s": self.latency.quantile(0.99),
-                "epoch": self._epoch_summary_locked(),
-                "last_epoch": self._last_epoch,
-            }
+            epoch, last_epoch = self._epoch_locked(), self._last_epoch
+        return {
+            "config": {
+                "shed_budget": SHED_BUDGET,
+                "degraded_budget": DEGRADED_BUDGET,
+                "epoch_sessions": EPOCH_SESSIONS,
+            },
+            "shed_ratio": round(shed_ratio, 6),
+            "shed_within_budget": shed_ratio <= SHED_BUDGET,
+            "degraded_ratio": round(degraded_ratio, 6),
+            "degraded_within_budget": degraded_ratio <= DEGRADED_BUDGET,
+            "epoch": epoch,
+            "last_epoch": last_epoch,
+        }

@@ -161,3 +161,14 @@ def small_schemas():
             "invoiceline", "invid", "linenum", "custid", ("charge", "float")
         ),
     }
+
+
+def current_active_samples(snap) -> dict:
+    """The Prometheus samples of a current (not peak) active-session
+    count in a parsed ``/metrics/prom`` scrape."""
+    return {
+        key: value
+        for key, value in snap.samples.items()
+        if ("active" in key[0] and not key[0].endswith("_peak"))
+        or ("state", "active") in key[1]
+    }

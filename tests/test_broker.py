@@ -39,7 +39,7 @@ from repro.obs.live import parse_prometheus_text
 from repro.trading import BiddingProtocol, RequestForBids
 from repro.trading.commodity import offer_id_scope
 from repro.workload import BurstConfig, build_bursty_workload, chain_query
-from tests.conftest import watch_plan_rounds
+from tests.conftest import current_active_samples, watch_plan_rounds
 
 WORLD = dict(
     nodes=6, n_relations=4, rows=10_000, fragments=2, replicas=2, seed=7
@@ -93,7 +93,7 @@ class TestAdmissionController:
         assert not controller.try_admit()
         occupancy = controller.occupancy()
         assert occupancy["queued"] == 1
-        assert occupancy["shed_total"] == 1
+        assert occupancy["admitted_total"] == 1  # the shed one is not
         controller.on_start()
         assert controller.try_admit()  # queue slot freed
         controller.on_finish()
@@ -103,7 +103,7 @@ class TestAdmissionController:
             AdmissionConfig(max_concurrent=1, queue_limit=0)
         )
         assert not controller.try_admit()
-        assert controller.occupancy()["shed_total"] == 1
+        assert controller.occupancy()["admitted_total"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -503,6 +503,87 @@ class TestRouter:
             service.close()
         assert status == 429
         assert payload["state"] == SHED
+
+
+class TestServingCounts:
+    """Each serving count is kept in one store, read by both surfaces."""
+
+    def test_drained_service_reports_no_active_session(self, arrivals):
+        service = make_service()
+        service._negotiate = lambda session: time.sleep(0.005)
+        try:
+            for arrival in arrivals[:6]:
+                submit_sql(service, arrival.query.sql())
+            assert service.drain(timeout=60.0)
+            payload = service.metrics_payload()
+            snap = parse_prometheus_text(service.prom_payload())
+        finally:
+            service.close()
+        current = current_active_samples(snap)
+        assert current and not any(current.values()), current
+        assert payload["active_sessions"] == payload["queue_depth"] == 0
+        assert not snap.series("repro_broker_active_sessions")
+        assert not snap.series("repro_broker_queue_depth")
+        assert payload["registry"]["gauges"] == {}
+        assert payload["active_sessions_peak"] >= 1
+        for key in ("active_sessions_peak", "queue_depth_peak"):
+            assert snap.value(f"repro_broker_{key}") == payload[key], key
+        p50 = snap.value("repro_broker_latency_quantile_ms", quantile="p50")
+        assert p50 == payload["latency_ms"]["p50"] >= 5.0
+
+    def test_shed_on_shutdown_is_counted_once(self, arrivals):
+        service = make_service()
+        service._negotiate = lambda session: None
+        try:
+            service.manager.close()  # workers stop; submits still arrive
+            session = submit_sql(service, arrivals[0].query.sql())
+            payload = service.metrics_payload()
+        finally:
+            service.close()
+        assert session.state == SHED
+        assert session.error == "broker shutting down"
+        assert (
+            payload["shed_total"]
+            == payload["states"][SHED]
+            == service.metrics.total("broker.sessions_shed")
+            == 1
+        )
+        assert payload["admitted_total"] == payload["queue_depth"] == 0
+
+    def test_note_terminal_counts_exactly_across_threads(self, arrivals):
+        threads, per_thread = 8, 2_000
+        service = make_service()
+        spec = service.parse_spec({"sql": arrivals[0].query.sql()})
+
+        def finish_many(worker: int) -> None:
+            for i in range(per_thread):
+                session = BrokerSession(f"w{worker}-{i}", spec)
+                session.finish(COMPLETED)
+                service.note_terminal(session)
+
+        workers = [
+            threading.Thread(target=finish_many, args=(worker,))
+            for worker in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        total = threads * per_thread
+        payload = service.metrics_payload()
+        assert payload["completed_total"] == total
+        assert payload["states"][COMPLETED] == total
+        assert service.metrics.counter(
+            "broker.sessions_completed", tenant="default"
+        ) == total
+        histograms = payload["registry"]["histograms"]
+        assert histograms["broker.session_latency_ms"]["-"]["count"] == total
 
 
 class TestHTTPServer:

@@ -20,12 +20,13 @@ from repro.obs.live import (
     QErrorObservatory,
     QuantileSketch,
     SiteStatsRegistry,
-    SLOConfig,
     SLOTracker,
     parse_prometheus_text,
 )
 from repro.obs.live.qerror import qerror
+from repro.obs.live.slo import EPOCH_SESSIONS, SHED_BUDGET
 from repro.workload import BurstConfig, build_bursty_workload
+from tests.conftest import current_active_samples
 
 WORLD = dict(nodes=4, n_relations=3, rows=1_000, fragments=2, replicas=1, seed=7)
 
@@ -290,6 +291,8 @@ class TestPrometheusExposition:
         assert snap.value("repro_broker_sessions_queued") == payload[
             "queue_depth"
         ]
+        for key in ("active_sessions_peak", "queue_depth_peak"):
+            assert snap.value(f"repro_broker_{key}") == payload[key], key
         for outcome in ("hits", "misses", "intern_hits"):
             assert snap.value(
                 "repro_broker_cache_lookups_total", outcome=outcome
@@ -311,7 +314,37 @@ class TestPrometheusExposition:
         assert payload["states"]["completed"] + payload["states"][
             "degraded"
         ] == len(_arrivals())
-        assert payload["slo"]["completed"] == len(_arrivals())
+        assert payload["completed_total"] == len(_arrivals())
+
+    def test_drained_broker_has_one_latency_p50_and_no_active(
+        self, broker_runs
+    ):
+        service = broker_runs["service"]
+        payload = service.metrics_payload()
+        snap = parse_prometheus_text(service.prom_payload())
+
+        def p50_paths(node: dict, path: tuple = ()):
+            for key, value in node.items():
+                # An SLO epoch keeps quantiles of its own session window.
+                if isinstance(value, dict) and key not in (
+                    "epoch", "last_epoch"
+                ):
+                    yield from p50_paths(value, path + (key,))
+                elif "p50" in key:
+                    yield path + (key,)
+
+        assert list(p50_paths(payload)) == [("latency_ms", "p50")]
+        assert payload["latency_ms"]["p50"] == snap.value(
+            "repro_broker_latency_quantile_ms", quantile="p50"
+        )
+        current = current_active_samples(snap)
+        assert current and not any(current.values()), current
+        for family in (
+            "repro_broker_active_sessions",
+            "repro_broker_queue_depth",
+            "repro_slo_latency_seconds",
+        ):
+            assert family not in snap.families, family
 
     def test_parser_rejects_malformed_text(self):
         with pytest.raises(PromParseError):
@@ -403,27 +436,27 @@ class TestEventRing:
 # ----------------------------------------------------------------------
 class TestSLOTracker:
     def test_budgets_and_epoch_roll(self):
-        tracker = SLOTracker(SLOConfig(
-            shed_budget=0.5, degraded_budget=0.5, epoch_sessions=4
-        ))
-        for _ in range(3):
-            tracker.observe_completion(0.010)
+        tracker = SLOTracker()
+        for _ in range(EPOCH_SESSIONS - 1):
+            tracker.observe_completion(0.010, degraded=False)
         tracker.observe_shed()  # rolls the first epoch
         tracker.observe_completion(0.020, degraded=True)
-        summary = tracker.summary()
-        assert summary["completed"] == 4 and summary["shed"] == 1
+        # The run ratios are judged on the totals the broker hands in.
+        summary = tracker.summary(completed=EPOCH_SESSIONS, shed=1, degraded=1)
         assert summary["shed_within_budget"]
         assert summary["degraded_within_budget"]
-        assert summary["latency_p50_s"] > 0
-        assert summary["last_epoch"]["sessions"] == 4
+        assert summary["last_epoch"]["latency_p50_s"] > 0
+        assert summary["last_epoch"]["sessions"] == EPOCH_SESSIONS
         assert summary["epoch"]["epoch"] == 1
         assert summary["epoch"]["completed"] == 1
 
     def test_budget_breach_flags(self):
-        tracker = SLOTracker(SLOConfig(shed_budget=0.01))
-        tracker.observe_completion(0.01)
+        tracker = SLOTracker()
+        tracker.observe_completion(0.01, degraded=False)
         tracker.observe_shed()
-        assert not tracker.summary()["shed_within_budget"]
+        summary = tracker.summary(completed=1, shed=1, degraded=0)
+        assert summary["shed_ratio"] > SHED_BUDGET
+        assert not summary["shed_within_budget"]
 
 
 # ----------------------------------------------------------------------

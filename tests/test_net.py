@@ -346,6 +346,18 @@ class TestScheduleAtPastGuard:
         assert log == ["first", "second", "third"]
         assert sim.now == 3.0
 
+    def test_event_fires_at_the_exact_instant_asked_for(self):
+        # now + (when - now) is one ulp below *when* for this pair.
+        now, when = 0.0009514701476989254, 0.07341794488517707
+        assert now + (when - now) != when
+        sim = Simulator()
+        sim.schedule(now, lambda: None)
+        sim.run_until_idle()
+        log = []
+        sim.schedule_at(when, lambda: log.append(sim.now))
+        sim.run_until_idle()
+        assert sim.now == when and log == [when]
+
 
 # ----------------------------------------------------------------------
 # Broadcast vs a per-recipient send loop: one departure, same behaviour
