@@ -6,10 +6,14 @@ long as it does so every time.  ``golden_traces.json`` holds, for six
 traced negotiations, the sha256 of the deterministic JSONL export
 (:func:`repro.obs.export.jsonl_lines`), recorded before the traced and
 untraced twin methods of each layer were merged into one span-wrapped
-body, and the sha256 of the critical path read off the same records
+body; the sha256 of the critical path read off the same records
 (:meth:`repro.obs.CriticalPath.to_json` and ``render(top=8)``),
 recorded while it was still computed by a forward replay of the
-protocol.
+protocol; and the sha256 of the two other surfaces derived from a
+trace, the decision ledger
+(:meth:`repro.obs.NegotiationLedger.to_json`) and ``repro report``'s
+text (:func:`repro.obs.render_report` over the JSONL rows), recorded
+while the causal DAG and the per-trade metrics registry still existed.
 
 Each case asserts that it reached the code path it is named for, so a
 digest cannot keep passing by no longer exercising that path.  A
@@ -33,8 +37,9 @@ import repro.broker.service as broker_service
 from repro.bench.harness import build_world, trade
 from repro.broker import BrokerService
 from repro.faults import FaultPlan
-from repro.obs import CriticalPath, Tracer
+from repro.obs import CriticalPath, NegotiationLedger, Tracer, render_report
 from repro.obs.export import jsonl_lines
+from repro.obs.report import _normalize
 from repro.trading import BargainingProtocol
 from repro.trading.commodity import offer_id_scope
 from repro.workload import chain_query
@@ -48,15 +53,20 @@ def _sha256(text: str) -> str:
 
 def _entry(records) -> dict:
     """The golden entry of one case: record count, JSONL digest and the
-    digests of its critical path (JSON and rendered text)."""
+    digests of its critical path (JSON and rendered text), its ledger
+    and its ``repro report`` text."""
     critical = CriticalPath.from_records(records)
+    lines = list(jsonl_lines(records, deterministic_only=True))
+    rows = [_normalize(json.loads(line)) for line in lines]
     return {
         "records": len(records),
-        "sha256": _sha256(
-            "\n".join(jsonl_lines(records, deterministic_only=True))
-        ),
+        "sha256": _sha256("\n".join(lines)),
         "critpath_sha256": _sha256(critical.to_json()),
         "critpath_render_sha256": _sha256(critical.render(top=8)),
+        "ledger_sha256": _sha256(
+            NegotiationLedger.from_records(records).to_json()
+        ),
+        "report_sha256": _sha256(render_report(rows)),
     }
 
 
