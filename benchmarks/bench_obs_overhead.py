@@ -24,9 +24,8 @@ Also prices the causal-tracing layer (PR 10): the same faulty
 negotiation (drops, duplicates, round deadlines — the configuration
 with the most causal-id stamping on the hot path) runs with no tracer
 vs a disabled tracer.  ``causal_overhead`` is that fractional cost and
-shares the <5% disabled-instrumentation gate; the analysis-side costs
-(building the causal DAG and reading the critical path off an enabled
-trace) are reported ungated.
+shares the <5% disabled-instrumentation gate; the analysis-side cost
+(reading the critical path off an enabled trace) is reported ungated.
 
 Writes ``BENCH_obs.json`` at the repository root and enforces the
 documented contracts: the *null* mode — tracing compiled in but
@@ -140,13 +139,12 @@ def causal_case(repeats: int) -> dict:
     mids on sends, per-delivery latencies, fault verdicts, timeout ids,
     retry re-issues — so a faulty negotiation is where a disabled
     tracer would show causal-stamping overhead if it had any.  Also
-    times the offline analyses an *enabled* trace pays for: building
-    the :class:`~repro.obs.causal.CausalDag` and walking the
-    :class:`~repro.obs.critpath.CriticalPath` (cross-checked: phases
-    must tile the session's simulated time).
+    times the offline analysis an *enabled* trace pays for: walking
+    the :class:`~repro.obs.critpath.CriticalPath` (cross-checked:
+    phases must tile the session's simulated time).
     """
     from repro.faults import FaultPlan
-    from repro.obs import CausalDag, CriticalPath
+    from repro.obs import CriticalPath
 
     joins, nodes = 3, 8
     plan = FaultPlan.uniform(
@@ -170,15 +168,12 @@ def causal_case(repeats: int) -> dict:
     null = [faulty_run(Tracer(enabled=False)) for _ in range(repeats)]
     causal_overhead = min(null) / min(disabled) - 1.0
 
-    # Analysis-side costs from one enabled trace (ungated).
+    # Analysis-side cost from one enabled trace (ungated).
     commodity._offer_ids = itertools.count(1)
     world = build_world(nodes=nodes, n_relations=max(joins, 3), seed=7)
     tracer = Tracer()
     run_qt(world, chain_query(joins), fault_plan=plan, tracer=tracer)
     records = list(tracer.records)
-    start = time.perf_counter()
-    dag = CausalDag.from_records(records)
-    dag_s = time.perf_counter() - start
     start = time.perf_counter()
     critical = CriticalPath.from_records(records)
     critpath_s = time.perf_counter() - start
@@ -192,8 +187,6 @@ def causal_case(repeats: int) -> dict:
         "null_min_s": round(min(null), 6),
         "causal_overhead": round(causal_overhead, 4),
         "trace_records": len(records),
-        "dag_nodes": len(dag.nodes),
-        "dag_build_s": round(dag_s, 6),
         "critpath_replay_s": round(critpath_s, 6),
     }
 
@@ -278,8 +271,7 @@ def main() -> None:
         f"causal tracing (faulty, joins={causal['joins']} "
         f"nodes={causal['nodes']}): disabled {causal['disabled_min_s']:.4f}s, "
         f"null {causal['null_min_s']:.4f}s "
-        f"({causal['causal_overhead']:+.1%}); analysis: dag "
-        f"{causal['dag_build_s']:.4f}s, critical path "
+        f"({causal['causal_overhead']:+.1%}); analysis: critical path "
         f"{causal['critpath_replay_s']:.4f}s over "
         f"{causal['trace_records']} records"
     )

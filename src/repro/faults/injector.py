@@ -68,7 +68,7 @@ class FaultInjector:
     stamps that ``lat`` on the ``msg.deliver`` trace event; a clean
     link's delay is the exact :meth:`Network.message_delay` value the
     fault-free path stamps, keeping a null plan byte-invisible in the
-    causal DAG.
+    trace.
     Aggregate drop/duplicate counters are mirrored into the network's
     :class:`~repro.net.simulator.NetworkStats` so trading results
     report them alongside message counts.

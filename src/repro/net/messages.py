@@ -49,9 +49,9 @@ class Message:
     Lamport counter and ``parent`` from the message (or timeout) whose
     handler triggered this send, as plain attribute writes when the
     message departs.  Both stay ``-1`` (:data:`NO_CAUSE`) with tracing
-    off — the stamps exist only so the causal DAG
-    (:mod:`repro.obs.causal`) can be rebuilt from trace records; no
-    protocol logic may branch on them.  Nothing else mutates a message
+    off — the stamps exist only so the critical path
+    (:mod:`repro.obs.critpath`) can walk a trace's causes back from its
+    end; no protocol logic may branch on them.  Nothing else mutates a message
     once sent, and nothing hashes one; it is not frozen because a
     frozen dataclass costs three times as much to build, and a wide
     trade builds thousands.

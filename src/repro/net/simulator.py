@@ -456,7 +456,7 @@ class Network:
         handler, in order; a recipient unregistered since the send is
         skipped.  ``lat`` is the transit delay the entry experienced
         (cost model + seeded fault draws), stamped on each delivery's
-        trace event for the causal DAG (:mod:`repro.obs.causal`)."""
+        ``msg.deliver`` trace event."""
         self._riders -= len(messages) - 1
         handlers = self._handlers
         tracer = self.tracer

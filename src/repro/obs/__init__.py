@@ -17,7 +17,6 @@ the event schema, the span hierarchy, the decision-ledger model, and
 the determinism/overhead contracts.
 """
 
-from repro.obs.causal import CAUSAL_SCHEMA_VERSION, CausalDag
 from repro.obs.critpath import (
     CRITPATH_SCHEMA_VERSION,
     PHASES,
@@ -54,10 +53,8 @@ from repro.obs.tracer import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "CAT_DECISION",
-    "CAUSAL_SCHEMA_VERSION",
     "CRITPATH_SCHEMA_VERSION",
     "BenchHistory",
-    "CausalDag",
     "CommodityExplanation",
     "CriticalPath",
     "DEFAULT_GATES",

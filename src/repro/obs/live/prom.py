@@ -190,16 +190,6 @@ def _registry_families(builder: PromBuilder, registry: MetricsRegistry) -> None:
             builder.counter(
                 name, f"registry counter {name}", value, **dict(labels)
             )
-    for name in sorted(registry._sums):
-        for labels, value in sorted(registry._sums[name].items()):
-            builder.counter(name, f"registry sum {name}", value, **dict(labels))
-    for name in sorted(registry._gauges):
-        for labels, (last, peak) in sorted(registry._gauges[name].items()):
-            builder.gauge(name, f"registry gauge {name}", last, **dict(labels))
-            builder.gauge(
-                f"{name}_peak", f"peak of registry gauge {name}", peak,
-                **dict(labels),
-            )
     for name in sorted(registry._histograms):
         for labels, histogram in sorted(registry._histograms[name].items()):
             builder.histogram(

@@ -1,35 +1,32 @@
-"""Deterministic metrics: counters, gauges, histograms, run telemetry.
+"""Deterministic metrics: the broker's counters and histograms, and the
+per-run telemetry a traced trade carries.
 
-A :class:`MetricsRegistry` aggregates per-site and per-phase statistics
-out of a trace's records.  Everything about it is deterministic for a
-fixed simulated run: histogram bucket boundaries are fixed at class
-level (not derived from observed data), label sets are sorted, and
-:meth:`MetricsRegistry.to_dict` renders with sorted keys — so two runs
-that produce the same trace produce byte-identical metric dumps.
+:class:`MetricsRegistry` holds the counters and fixed-bucket
+histograms :class:`~repro.broker.service.BrokerService` writes as
+sessions finish; ``/metrics`` renders it with :meth:`~MetricsRegistry.
+to_dict` and ``/metrics/prom`` with
+:func:`~repro.obs.live.prom.render_prometheus`.  Histogram bucket
+boundaries are fixed by the caller (never derived from observed data),
+label sets are sorted, and :meth:`~MetricsRegistry.to_dict` renders
+with sorted keys, so the same writes give byte-identical dumps.
 
-Wall-clock quantities are deliberately kept *out* of the registry (they
-live on the trace records themselves); the registry aggregates only
-simulated-time and count data, which is what
-:attr:`~repro.trading.trader.TradingResult.telemetry` exposes.
+:class:`RunTelemetry` is what
+:attr:`~repro.trading.trader.TradingResult.telemetry` derives from a
+traced trade's records: span, event and gauge counts plus the critical
+path.  A trace's per-phase, per-message, per-fault and per-site cache
+totals are ``repro report``'s job (:func:`repro.obs.report.summarize`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.obs.critpath import CriticalPath
 from repro.obs.tracer import TraceRecord
 
-__all__ = ["MetricsRegistry", "RunTelemetry", "SIM_SECONDS_BUCKETS"]
-
-#: Fixed histogram bucket upper bounds for simulated-seconds durations.
-#: Chosen once so output shape never depends on observed data; the last
-#: implicit bucket is +inf.
-SIM_SECONDS_BUCKETS: tuple[float, ...] = (
-    1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 10.0
-)
+__all__ = ["MetricsRegistry", "RunTelemetry"]
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -44,9 +41,10 @@ def _label_str(labels: Labels) -> str:
 
 @dataclass
 class _Histogram:
-    """Counts per fixed bucket plus count/sum (Prometheus-style)."""
+    """Counts per fixed bucket plus count/sum (Prometheus-style); the
+    last, implicit bucket is +inf."""
 
-    boundaries: tuple[float, ...] = SIM_SECONDS_BUCKETS
+    boundaries: tuple[float, ...]
     counts: list[int] = field(default_factory=list)
     count: int = 0
     sum: float = 0.0
@@ -73,12 +71,10 @@ class _Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges (last + max), and fixed-bucket histograms."""
+    """Labelled counters and fixed-bucket histograms."""
 
     def __init__(self) -> None:
         self._counters: dict[str, dict[Labels, int]] = {}
-        self._sums: dict[str, dict[Labels, float]] = {}
-        self._gauges: dict[str, dict[Labels, tuple[float, float]]] = {}
         self._histograms: dict[str, dict[Labels, _Histogram]] = {}
 
     # -- write ---------------------------------------------------------
@@ -87,23 +83,11 @@ class MetricsRegistry:
         key = _labels(**labels)
         series[key] = series.get(key, 0) + amount
 
-    def add(self, name: str, amount: float, **labels) -> None:
-        """A float-summing counter (e.g. simulated seconds per site)."""
-        series = self._sums.setdefault(name, {})
-        key = _labels(**labels)
-        series[key] = series.get(key, 0.0) + amount
-
-    def gauge_set(self, name: str, value: float, **labels) -> None:
-        series = self._gauges.setdefault(name, {})
-        key = _labels(**labels)
-        _last, peak = series.get(key, (value, value))
-        series[key] = (value, max(peak, value))
-
     def observe(
         self,
         name: str,
         value: float,
-        boundaries: Sequence[float] = SIM_SECONDS_BUCKETS,
+        boundaries: Sequence[float],
         **labels,
     ) -> None:
         series = self._histograms.setdefault(name, {})
@@ -114,43 +98,17 @@ class MetricsRegistry:
         histogram.observe(value)
 
     # -- read ----------------------------------------------------------
-    def counter(self, name: str, **labels) -> int:
-        return self._counters.get(name, {}).get(_labels(**labels), 0)
-
     def total(self, name: str) -> int:
         return sum(self._counters.get(name, {}).values())
-
-    def sum_of(self, name: str, **labels) -> float:
-        return self._sums.get(name, {}).get(_labels(**labels), 0.0)
-
-    def gauge(self, name: str, **labels) -> tuple[float, float] | None:
-        """``(last, max)`` for the gauge series, or ``None``."""
-        return self._gauges.get(name, {}).get(_labels(**labels))
-
-    def histogram(self, name: str, **labels) -> _Histogram | None:
-        return self._histograms.get(name, {}).get(_labels(**labels))
-
-    def series(self, name: str) -> dict[Labels, int]:
-        """All label rows of one counter (for table rendering)."""
-        return dict(self._counters.get(name, {}))
 
     # -- export --------------------------------------------------------
     def to_dict(self) -> dict:
         """Deterministic nested dict (sorted names and label rows)."""
-        out: dict = {"counters": {}, "sums": {}, "gauges": {}, "histograms": {}}
+        out: dict = {"counters": {}, "histograms": {}}
         for name in sorted(self._counters):
             out["counters"][name] = {
                 _label_str(k): v
                 for k, v in sorted(self._counters[name].items())
-            }
-        for name in sorted(self._sums):
-            out["sums"][name] = {
-                _label_str(k): v for k, v in sorted(self._sums[name].items())
-            }
-        for name in sorted(self._gauges):
-            out["gauges"][name] = {
-                _label_str(k): {"last": last, "max": peak}
-                for k, (last, peak) in sorted(self._gauges[name].items())
             }
         for name in sorted(self._histograms):
             out["histograms"][name] = {
@@ -158,58 +116,6 @@ class MetricsRegistry:
                 for k, h in sorted(self._histograms[name].items())
             }
         return out
-
-    # -- aggregation ---------------------------------------------------
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "MetricsRegistry":
-        """Aggregate one trace interval into per-phase/per-site metrics.
-
-        * spans → ``phase_total`` / ``phase_sim_seconds`` (histogram per
-          phase name) / ``phase_sim_seconds_sum`` (per phase and, when
-          attributed, per site);
-        * ``msg.send`` events → ``messages_total`` and
-          ``message_bytes_total`` by message kind, ``site_messages_total``
-          by sender;
-        * ``cache.*`` events → ``cache_total`` by site and outcome;
-        * ``fault.*`` events → ``faults_total`` by event name;
-        * gauge rows → last/max per gauge name.
-        """
-        registry = cls()
-        for record in records:
-            if record.kind == "span":
-                duration = record.sim_duration
-                registry.inc("phase_total", phase=record.name)
-                registry.observe("phase_sim_seconds", duration, phase=record.name)
-                registry.add("phase_sim_seconds_sum", duration, phase=record.name)
-                if record.site:
-                    registry.add(
-                        "site_sim_seconds_sum", duration, site=record.site
-                    )
-            elif record.kind == "gauge":
-                value = (record.args or {}).get("value", 0)
-                registry.gauge_set(record.name, float(value))
-            elif record.kind == "event":
-                registry.inc("events_total", cat=record.cat, event=record.name)
-                args = record.args or {}
-                if record.name == "msg.send":
-                    kind = str(args.get("kind", "?"))
-                    registry.inc("messages_total", kind=kind)
-                    registry.inc(
-                        "message_bytes_total",
-                        amount=int(args.get("bytes", 0)),
-                        kind=kind,
-                    )
-                    if record.site:
-                        registry.inc("site_messages_total", site=record.site)
-                elif record.name.startswith("cache."):
-                    registry.inc(
-                        "cache_total",
-                        site=record.site,
-                        outcome=record.name.split(".", 1)[1],
-                    )
-                elif record.name.startswith("fault."):
-                    registry.inc("faults_total", event=record.name)
-        return registry
 
 
 @dataclass
@@ -224,7 +130,6 @@ class RunTelemetry:
     spans: int
     events: int
     gauges: int
-    metrics: MetricsRegistry
     #: Deterministic critical-path decomposition of the run
     #: (:mod:`repro.obs.critpath`), or ``None`` for non-trading traces.
     critical_path: dict | None = None
@@ -238,28 +143,13 @@ class RunTelemetry:
             spans=spans,
             events=len(records) - spans - gauges,
             gauges=gauges,
-            metrics=MetricsRegistry.from_records(records),
             critical_path=None if critical is None else critical.to_dict(),
         )
-
-    @property
-    def cache_hit_rate_by_site(self) -> dict[str, float]:
-        rates: dict[str, dict[str, int]] = {}
-        for labels, value in self.metrics.series("cache_total").items():
-            row = dict(labels)
-            per_site = rates.setdefault(row.get("site", ""), {})
-            per_site[row.get("outcome", "?")] = value
-        out = {}
-        for site, outcomes in sorted(rates.items()):
-            lookups = outcomes.get("hit", 0) + outcomes.get("miss", 0)
-            out[site] = outcomes.get("hit", 0) / lookups if lookups else 0.0
-        return out
 
     def to_dict(self) -> dict:
         return {
             "spans": self.spans,
             "events": self.events,
             "gauges": self.gauges,
-            "metrics": self.metrics.to_dict(),
             "critical_path": self.critical_path,
         }

@@ -142,8 +142,9 @@ class TradingResult:
 
     @property
     def telemetry(self) -> RunTelemetry | None:
-        """Per-run metrics (``None`` unless a tracer was attached to the
-        network — see :mod:`repro.obs`), derived on first read."""
+        """Span, event and gauge counts and the critical path (``None``
+        unless a tracer was attached to the network — see
+        :mod:`repro.obs`), derived on first read."""
         if self._telemetry is None:
             records = self._records
             if records is not None:

@@ -524,7 +524,14 @@ class TestServingCounts:
         assert payload["active_sessions"] == payload["queue_depth"] == 0
         assert not snap.series("repro_broker_active_sessions")
         assert not snap.series("repro_broker_queue_depth")
-        assert payload["registry"]["gauges"] == {}
+        # The registry keeps counters and histograms only: no gauge of
+        # it in either surface.
+        assert set(payload["registry"]) == {"counters", "histograms"}
+        registry_types = {
+            family["type"] for family in snap.families.values()
+            if family["help"].startswith("registry ")
+        }
+        assert registry_types == {"counter", "histogram"}
         assert payload["active_sessions_peak"] >= 1
         for key in ("active_sessions_peak", "queue_depth_peak"):
             assert snap.value(f"repro_broker_{key}") == payload[key], key
@@ -579,9 +586,10 @@ class TestServingCounts:
         payload = service.metrics_payload()
         assert payload["completed_total"] == total
         assert payload["states"][COMPLETED] == total
-        assert service.metrics.counter(
-            "broker.sessions_completed", tenant="default"
-        ) == total
+        counters = payload["registry"]["counters"]
+        assert counters["broker.sessions_completed"] == {
+            "tenant=default": total
+        }
         histograms = payload["registry"]["histograms"]
         assert histograms["broker.session_latency_ms"]["-"]["count"] == total
 

@@ -1,9 +1,13 @@
-"""Causal DAG + critical-path decomposition: structure, exact timing.
+"""Causal stamps + critical-path decomposition: structure, exact timing.
 
-The contract under test (``repro.obs.causal`` / ``repro.obs.critpath``):
+The contract under test (the ``mid``/``parent`` stamps the network
+writes on traced records, and ``repro.obs.critpath``):
 
-* the DAG is built from causal ids and record *args* only, so the same
-  seed produces the same bytes on every run;
+* the stamps form a causal DAG: every message and round timeout gets a
+  fresh id, every send names the delivery or timeout that caused it,
+  every fault verdict names its message, and re-issued RFBs descend
+  from the timeout that re-issued them; the same seed stamps the same
+  bytes on every run;
 * the critical path is read off the records' simulated timestamps,
   never rebuilt from transit delays, compute work or deadlines, so its
   total is the simulated optimization time *bitwise*;
@@ -27,10 +31,8 @@ from repro.bench.harness import BUYER, build_world, run_qt
 from repro.faults import FaultInjector, FaultPlan, ResilientTrader
 from repro.net import Network
 from repro.obs import (
-    CAUSAL_SCHEMA_VERSION,
     CRITPATH_SCHEMA_VERSION,
     PHASES,
-    CausalDag,
     CriticalPath,
     Tracer,
     load_trace,
@@ -64,6 +66,28 @@ def _traced(world, query, *, plan=None, timeout=None):
         )
     assert m.found
     return m, tracer
+
+
+#: Record args that carry causal stamps: ids and parents, delivery
+#: copies and transit delays, and the cause and work of seller compute.
+CAUSAL_ARGS = frozenset({"mid", "parent", "copy", "lat", "cause", "work"})
+
+
+def _stamps(records) -> str:
+    """Every record's causal stamps, in record order, as JSON."""
+    return json.dumps(
+        [
+            [r.name, r.site, {k: r.args[k] for k in CAUSAL_ARGS & set(r.args)}]
+            for r in records
+            if r.args and not CAUSAL_ARGS.isdisjoint(r.args)
+        ],
+        sort_keys=True,
+    )
+
+
+def _sends(records) -> dict:
+    """``msg.send`` records by causal id."""
+    return {r.args["mid"]: r for r in records if r.name == "msg.send"}
 
 
 @pytest.fixture(scope="module")
@@ -113,38 +137,47 @@ def assert_close_payloads(expected, got, rel_tol=1e-12, path="$"):
 
 # ----------------------------------------------------------------------
 class TestCausalDag:
-    def test_structure_and_summary(self, world):
+    """The causal DAG the records' ``mid``/``parent`` stamps form."""
+
+    def test_structure(self, world):
         _, tracer = _traced(world, chain_query(3, selection_cat=3))
-        dag = CausalDag.from_records(tracer.records)
-        assert dag.nodes
-        assert dag.roots(), "a negotiation always has root RFBs"
-        for mid in sorted(dag.nodes):
-            node = dag.nodes[mid]
-            parent = node["parent"]
-            # Every non-root hangs off a node we also saw.
-            assert parent == NO_PARENT or parent in dag.nodes
-            # Fault-free: every message delivered exactly once.
-            if node["kind"] != "timeout":
-                assert len(node["deliveries"]) == 1
-                assert node["deliveries"][0]["lat"] > 0.0
-        payload = dag.to_dict()
-        assert payload["schema_version"] == CAUSAL_SCHEMA_VERSION
-        summary = payload["summary"]
-        assert summary["nodes"] == len(dag.nodes)
-        assert summary["dropped"] == 0
-        assert summary["roots"] == len(dag.roots())
+        records = tracer.records
+        sends = _sends(records)
+        assert sends
+        minted: set[int] = set()
+        for r in records:
+            if r.name == "msg.send":
+                # Every non-root hangs off a message or timeout minted
+                # before it.
+                parent = r.args["parent"]
+                assert parent == NO_PARENT or parent in minted
+                minted.add(r.args["mid"])
+            elif r.name == "round.timeout":
+                minted.add(r.args["mid"])
+            elif r.name == "seller.compute":
+                assert r.args["cause"] in sends
+        roots = [
+            mid for mid, r in sends.items() if r.args["parent"] == NO_PARENT
+        ]
+        assert roots, "a negotiation always has root RFBs"
+        # Fault-free: every message delivered exactly once.
+        lats: dict[int, list[float]] = {}
+        for r in records:
+            if r.name == "msg.deliver":
+                lats.setdefault(r.args["mid"], []).append(r.args["lat"])
+        assert lats.keys() == sends.keys()
+        assert all(len(v) == 1 and v[0] > 0.0 for v in lats.values())
         # RFB roots collect their replies as causal children.
-        replied = [mid for mid in dag.roots() if dag.replies(mid)]
-        assert replied
+        parents = {r.args["parent"] for r in sends.values()}
+        assert any(mid in parents for mid in roots)
 
     def test_same_seed_byte_identical(self, world):
         query = chain_query(3, selection_cat=3)
         _, tracer_a = _traced(world, query)
         _, tracer_b = _traced(world, query)
-        assert (
-            CausalDag.from_records(tracer_a.records).to_json()
-            == CausalDag.from_records(tracer_b.records).to_json()
-        )
+        stamps = _stamps(tracer_a.records)
+        assert len(json.loads(stamps)) > 100
+        assert stamps == _stamps(tracer_b.records)
 
     def test_faulty_dag_carries_verdicts(self, world):
         plan = FaultPlan.uniform(drop_rate=0.15, duplicate_rate=0.1, seed=11)
@@ -152,12 +185,41 @@ class TestCausalDag:
             world, chain_query(3, selection_cat=3), plan=plan, timeout=0.05
         )
         assert m.dropped > 0 or m.duplicated > 0
-        dag = CausalDag.from_records(tracer.records)
-        summary = dag.to_dict()["summary"]
-        assert summary["faults"] > 0
-        # Dropped messages are exactly those with no surviving copy.
-        assert summary["dropped"] == sum(
-            1 for mid in dag.nodes if dag.dropped(mid)
+        records = tracer.records
+        sends = _sends(records)
+        verdicts = [r for r in records if r.name.startswith("fault.")]
+        assert verdicts
+        # Every verdict carries the id of the message it judged.
+        for r in verdicts:
+            assert r.args["mid"] in sends
+            assert sends[r.args["mid"]].seq < r.seq
+        # A message with no delivered copy has a drop verdict.
+        delivered = {r.args["mid"] for r in records if r.name == "msg.deliver"}
+        dropped = {r.args["mid"] for r in verdicts if r.name == "fault.drop"}
+        assert sends.keys() - delivered <= dropped
+        assert len(dropped) == m.dropped
+
+    def test_reissued_rfbs_descend_from_their_timeout(self, lossy_records):
+        timeouts = {
+            r.args["mid"]: r for r in lossy_records if r.name == "round.timeout"
+        }
+        rfbs = [
+            r for r in lossy_records
+            if r.name == "msg.send" and r.args["kind"] == "rfb"
+        ]
+        retries = [r for r in lossy_records if r.name == "round.retry"]
+        assert retries
+        for retry in retries:
+            assert retry.args["mid"] in timeouts
+            reissued = [
+                r for r in rfbs if r.args["parent"] == retry.args["mid"]
+            ]
+            assert reissued and all(r.seq > retry.seq for r in reissued)
+        # An RFB is a round's fanout or a timeout's re-issue, never a
+        # reply to a delivery.
+        assert all(
+            r.args["parent"] == NO_PARENT or r.args["parent"] in timeouts
+            for r in rfbs
         )
 
 
@@ -246,10 +308,6 @@ class TestCriticalPath:
         assert (
             CriticalPath.from_rows(rows).to_json()
             == CriticalPath.from_records(tracer.records).to_json()
-        )
-        assert (
-            CausalDag.from_rows(rows).to_json()
-            == CausalDag.from_records(tracer.records).to_json()
         )
 
     def test_durations_are_read_off_timestamps(self, lossy_records, tmp_path):

@@ -7,9 +7,10 @@ Pins the three contracts ``docs/OBSERVABILITY.md`` promises:
   axes (query size, federation size, generator mode);
 * **determinism** — the deterministic JSONL export of a traced run is
   byte-identical between two runs of the same negotiation;
-* **fidelity** — the recorded events reconcile exactly with the
-  independent counters the system already keeps (``NetworkStats``,
-  ``CacheStats``, the fault injector's log).
+* **fidelity** — the recorded events, as ``repro report`` totals them
+  (:func:`repro.obs.summarize`), reconcile exactly with the independent
+  counters the system already keeps (``NetworkStats``, ``CacheStats``,
+  the fault injector's log).
 """
 
 import itertools
@@ -226,7 +227,14 @@ def test_deterministic_export_resequences_and_drops_wall_fields():
 # ----------------------------------------------------------------------
 # Telemetry fidelity
 # ----------------------------------------------------------------------
-def test_telemetry_reconciles_with_network_and_cache_stats():
+def _summary(records, tmp_path) -> dict:
+    """``repro report``'s summary of *records*, read back from JSONL."""
+    path = tmp_path / "trace.jsonl"
+    write_jsonl(records, str(path))
+    return summarize(load_trace(str(path)))
+
+
+def test_telemetry_reconciles_with_network_and_cache_stats(tmp_path):
     world = build_world(nodes=8, n_relations=4, seed=7)
     tracer = Tracer()
     cache = OfferCache()
@@ -235,20 +243,17 @@ def test_telemetry_reconciles_with_network_and_cache_stats():
     telemetry = [r for r in tracer.records if r.name == "trade.optimize"]
     assert len(telemetry) == 1
 
-    metrics = MetricsRegistry.from_records(tracer.records)
-    assert metrics.total("messages_total") == m.messages
-    assert metrics.total("cache_total") == m.cache_hits + m.cache_misses
-    assert (
-        sum(v for k, v in metrics.series("cache_total").items()
-            if ("outcome", "hit") in k)
-        == m.cache_hits
-    )
-    # spans land in the phase histogram with fixed buckets
-    hist = metrics.histogram("phase_sim_seconds", phase="trade.round")
-    assert hist is not None and hist.count == m.iterations
+    summary = _summary(tracer.records, tmp_path)
+    # One msg.send per counted message, one cache.* event per lookup.
+    assert sum(a["count"] for a in summary["messages"].values()) == m.messages
+    outcomes = summary["cache"].values()
+    assert sum(o.get("hit", 0) for o in outcomes) == m.cache_hits
+    assert sum(o.get("miss", 0) for o in outcomes) == m.cache_misses
+    # One trade.round span per round.
+    assert summary["phases"]["trade.round"]["count"] == m.iterations
 
 
-def test_run_telemetry_attached_to_result():
+def test_run_telemetry_attached_to_result(tmp_path):
     world = build_world(nodes=8, n_relations=4, seed=7)
     network = Network(world.model)
     tracer = Tracer()
@@ -264,14 +269,21 @@ def test_run_telemetry_attached_to_result():
     telemetry = result.telemetry
     assert isinstance(telemetry, RunTelemetry)
     assert telemetry.spans > 0 and telemetry.events > 0
-    assert telemetry.metrics.total("messages_total") == result.messages.messages
-    rates = telemetry.cache_hit_rate_by_site
-    assert rates and all(0.0 <= rate <= 1.0 for rate in rates.values())
+    summary = _summary(tracer.records, tmp_path)
+    assert sum(p["count"] for p in summary["phases"].values()) == (
+        telemetry.spans
+    )
+    assert sum(a["count"] for a in summary["messages"].values()) == (
+        result.messages.messages
+    )
+    outcomes = summary["cache"].values()
+    assert sum(o.get("hit", 0) for o in outcomes) == result.cache.hits
+    assert sum(o.get("miss", 0) for o in outcomes) == result.cache.misses
     dumped = json.dumps(telemetry.to_dict(), sort_keys=True)
     assert json.loads(dumped)["spans"] == telemetry.spans
 
 
-def test_faulty_run_emits_fault_events():
+def test_faulty_run_emits_fault_events(tmp_path):
     world = build_world(nodes=8, n_relations=4, seed=7)
     plan = FaultPlan(
         default_link=LinkFaults(
@@ -284,14 +296,18 @@ def test_faulty_run_emits_fault_events():
     m = run_qt(world, chain_query(3), fault_plan=plan, tracer=tracer)
     drops = [r for r in tracer.records if r.name == "fault.drop"]
     dups = [r for r in tracer.records if r.name == "fault.duplicate"]
+    spikes = [r for r in tracer.records if r.name == "fault.delay_spike"]
     assert len(drops) == m.dropped
     assert len(dups) == m.duplicated
     assert all(r.args["reason"] in
                ("link", "sender_down", "recipient_down") for r in drops)
-    metrics = MetricsRegistry.from_records(tracer.records)
-    assert metrics.total("faults_total") == len(drops) + len(dups) + sum(
-        1 for r in tracer.records if r.name == "fault.delay_spike"
+    faults = _summary(tracer.records, tmp_path)["faults"]
+    assert sum(n for key, n in faults.items() if key.startswith("drop(")) == (
+        m.dropped
     )
+    assert faults.get("duplicate", 0) == m.duplicated
+    assert faults.get("delay_spike", 0) == len(spikes)
+    assert sum(faults.values()) == len(drops) + len(dups) + len(spikes)
 
 
 # ----------------------------------------------------------------------
@@ -374,55 +390,53 @@ def test_metrics_registry_basics():
     registry = MetricsRegistry()
     registry.inc("hits", site="b")
     registry.inc("hits", site="a", amount=2)
-    assert registry.counter("hits", site="a") == 2
     assert registry.total("hits") == 3
-    registry.add("seconds", 1.5, site="a")
-    registry.add("seconds", 0.5, site="a")
-    assert registry.sum_of("seconds", site="a") == 2.0
-    registry.gauge_set("queue", 5)
-    registry.gauge_set("queue", 3)
-    assert registry.gauge("queue") == (3, 5)  # last, max
-    registry.observe("latency", 0.002)
-    registry.observe("latency", 99.0)  # beyond last boundary -> +inf bucket
-    hist = registry.histogram("latency")
-    assert hist.count == 2 and hist.counts[-1] == 1
+    assert registry.total("absent") == 0
+    registry.observe("latency", 0.002, (0.001, 0.01))
+    registry.observe("latency", 99.0, (0.001, 0.01))  # -> +inf bucket
     out = registry.to_dict()
-    assert list(out["counters"]["hits"]) == ["site=a", "site=b"]  # sorted
+    assert set(out) == {"counters", "histograms"}
+    assert out["counters"]["hits"] == {"site=a": 2, "site=b": 1}  # sorted
+    assert list(out["counters"]["hits"]) == ["site=a", "site=b"]
+    hist = out["histograms"]["latency"]["-"]
+    assert hist["count"] == 2 and hist["counts"] == [0, 1, 1]
+
+
+def _histogram(registry: MetricsRegistry, name: str, labels: str = "-"):
+    return registry.to_dict()["histograms"][name][labels]
 
 
 def test_histogram_boundary_values_are_le_inclusive():
     # Prometheus `le` semantics: a value exactly on a bucket boundary
     # belongs to that bucket, not the next one.
     registry = MetricsRegistry()
-    registry.observe("x", 0.1, boundaries=(0.1, 1.0))
-    hist = registry.histogram("x")
-    assert hist.counts == [1, 0, 0]
-    registry.observe("x", 1.0, boundaries=(0.1, 1.0))
-    assert hist.counts == [1, 1, 0]
+    registry.observe("x", 0.1, (0.1, 1.0))
+    assert _histogram(registry, "x")["counts"] == [1, 0, 0]
+    registry.observe("x", 1.0, (0.1, 1.0))
+    assert _histogram(registry, "x")["counts"] == [1, 1, 0]
 
 
 def test_histogram_plus_inf_bucket_accounting():
     registry = MetricsRegistry()
     boundaries = (0.5, 2.0)
     for value in (0.1, 1.0, 100.0, 2.0000001):
-        registry.observe("x", value, boundaries=boundaries)
-    hist = registry.histogram("x")
-    assert hist.counts == [1, 1, 2]  # two beyond the last boundary
-    assert hist.count == sum(hist.counts)
-    assert hist.sum == pytest.approx(103.1000001)
-    dumped = hist.to_dict()
-    assert len(dumped["counts"]) == len(dumped["boundaries"]) + 1
+        registry.observe("x", value, boundaries)
+    hist = _histogram(registry, "x")
+    assert hist["counts"] == [1, 1, 2]  # two beyond the last boundary
+    assert hist["count"] == sum(hist["counts"])
+    assert hist["sum"] == pytest.approx(103.1000001)
+    assert len(hist["counts"]) == len(hist["boundaries"]) + 1
 
 
 def test_histogram_label_order_is_canonical():
     # The same label set in any keyword order is one series, and
     # rendered rows sort keys alphabetically.
     registry = MetricsRegistry()
-    registry.observe("x", 0.1, site="a", phase="p")
-    registry.observe("x", 0.2, phase="p", site="a")
-    assert registry.histogram("x", phase="p", site="a").count == 2
+    registry.observe("x", 0.1, (1.0,), site="a", phase="p")
+    registry.observe("x", 0.2, (1.0,), phase="p", site="a")
     out = registry.to_dict()
     assert list(out["histograms"]["x"]) == ["phase=p,site=a"]
+    assert _histogram(registry, "x", "phase=p,site=a")["count"] == 2
 
 
 def test_bench_envelope_tolerates_no_git(monkeypatch):
