@@ -106,9 +106,12 @@ class OrderedBiddingProtocol(BiddingProtocol):
     and the buyer's offer table breaks value ties by that order.  Serve
     plans depend on the sort: with the library's
     :class:`~repro.trading.BiddingProtocol` in its place the
-    ``serve_closed`` deck's mean plan cost rises by 28 %.  Why the
-    arrival order prices worse has not been traced (the broker's offer
-    budget is unset by default, so it is not truncation).
+    ``serve_closed`` deck's mean plan cost rises by 28 %.  The buyer
+    keys its plan entries by ``(rect, form)`` without the site
+    (``trading/buyer.py``, ``_Entry``), while :func:`~repro.optimizer.
+    plans.fold_response_time` serializes children at one site, so two
+    equal-score replicas at different sellers are not interchangeable
+    and the buyer keeps whichever arrived first (ROADMAP item 2).
     """
 
     name = "bidding"  # same wire behavior; only intake order changes
@@ -120,8 +123,7 @@ class OrderedBiddingProtocol(BiddingProtocol):
 
 
 #: Upper bounds (milliseconds) of the ``broker.session_latency_ms``
-#: histogram's buckets; the registry's default buckets are in simulated
-#: seconds.
+#: histogram's buckets.
 _LATENCY_MS_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 
 #: The ``/metrics/prom`` families of top-level rollup fields:

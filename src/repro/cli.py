@@ -303,11 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "session (with --live-obs; 0 disables sampling; default 4)",
     )
     serve.add_argument(
-        "--events-capacity", type=int, default=512, metavar="N",
-        help="ring-buffer capacity of the /events stream "
-             "(with --live-obs; default 512)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log each HTTP request"
     )
 
@@ -323,11 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sites.add_argument(
         "--json", action="store_true",
         help="emit the raw /sites payload as JSON",
-    )
-    sites.add_argument(
-        "--trace-out", metavar="PATH",
-        help="also write live.site/live.qerror JSONL rows to PATH; "
-             "`repro report PATH` renders them as a per-site table",
     )
     return parser
 
@@ -686,7 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         live_obs = LiveObsConfig(
             qerror_sample_every=args.qerror_sample,
             data_seed=args.seed,
-            events_capacity=args.events_capacity,
         )
     service = BrokerService(
         world_config=dict(
@@ -755,60 +744,6 @@ def _raise_keyboard_interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-def _live_trace_rows(payload: dict) -> list[dict]:
-    """``/sites`` payload -> ``live.site``/``live.qerror`` trace rows.
-
-    The rows are flat-JSONL trace records (``kind: event``) carrying
-    precomputed scalars, so ``repro report`` renders them without
-    knowing anything about sketches.
-    """
-    from repro.obs.live import QuantileSketch
-
-    rows: list[dict] = []
-    for site, stats in sorted((payload.get("sites") or {}).items()):
-        settled = QuantileSketch.from_dict(stats.get("settled") or {})
-        latency = QuantileSketch.from_dict(stats.get("latency") or {})
-        rows.append({
-            "kind": "event",
-            "name": "live.site",
-            "cat": "live",
-            "sim_start": 0.0,
-            "sim_end": 0.0,
-            "site": site,
-            "args": {
-                "wins": stats.get("wins", 0),
-                "losses": stats.get("losses", 0),
-                "win_rate": stats.get("win_rate", 0.0),
-                "offers_priced": stats.get("offers_priced", 0),
-                "offers_received": stats.get("offers_received", 0),
-                "rfbs_handled": stats.get("rfbs_handled", 0),
-                "rfbs_answered": stats.get("rfbs_answered", 0),
-                "settled_mean": round(settled.mean, 9),
-                "latency_p95": latency.quantile(0.95),
-            },
-        })
-    for key, cell in sorted((payload.get("qerror") or {}).get(
-            "cells", {}).items()):
-        site, _, size = key.rpartition("|")
-        rows.append({
-            "kind": "event",
-            "name": "live.qerror",
-            "cat": "live",
-            "sim_start": 0.0,
-            "sim_end": 0.0,
-            "site": site,
-            "args": {
-                "relations": size,
-                "count": cell.get("count", 0),
-                "mean": cell.get("mean", 0.0),
-                "max": cell.get("max", 0.0),
-                "p50": cell.get("p50", 0.0),
-                "p90": cell.get("p90", 0.0),
-            },
-        })
-    return rows
-
-
 def _cmd_sites(args: argparse.Namespace) -> int:
     import json as json_module
     import urllib.error
@@ -827,32 +762,42 @@ def _cmd_sites(args: argparse.Namespace) -> int:
         print(f"cannot reach broker at {url}: {exc}", file=sys.stderr)
         return 2
     payload = json_module.loads(body)
-    # Flatten the nested payload once: registry state lives under
-    # "sites", the q-error snapshot under "qerror".
-    registry = payload.get("sites") or {}
-    flat = {"sites": registry.get("sites"), "qerror": payload.get("qerror")}
-    rows = _live_trace_rows(flat)
-    if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            for row in rows:
-                fh.write(json_module.dumps(row, sort_keys=True) + "\n")
-        print(f"live-obs trace: {len(rows)} rows -> {args.trace_out}",
-              file=sys.stderr)
     if args.json:
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         return 0
-    from repro.obs import render_report
+    from repro.obs.report import _table
 
+    registry = payload["sites"]
     print(
-        f"broker live registry: {registry.get('sessions', 0)} sessions, "
-        f"{registry.get('rounds', 0)} rounds, "
-        f"rfb fanout {registry.get('rfb_fanout', 0)} "
-        f"(response ratio {registry.get('response_ratio', 0.0):.1%})"
+        f"broker live registry: {registry['sessions']} sessions, "
+        f"{registry['rounds']} rounds, "
+        f"rfb fanout {registry['rfb_fanout']} "
+        f"(response ratio {registry['response_ratio']:.1%})"
     )
-    if rows:
-        # The report renderer already knows how to draw live rows.
-        report = render_report(rows)
-        print("\n".join(report.splitlines()[1:]).lstrip("\n"))
+    if registry["sites"]:
+        figures = payload["operational"]
+        worst_p90: dict[str, float] = {}
+        for key, cell in payload.get("qerror", {}).get("cells", {}).items():
+            site = key.rpartition("|")[0]
+            worst_p90[site] = max(worst_p90.get(site, 0.0), cell["p90"])
+        print("live per-site statistics (broker live-obs registry):")
+        print(_table(
+            ["site", "wins", "losses", "win rate", "mean settled",
+             "p95 offer latency", "q-error p90"],
+            [
+                [
+                    site,
+                    stats["wins"],
+                    stats["losses"],
+                    f"{stats['win_rate']:.1%}",
+                    format(figures[site]["settled_price_mean"], ".4g"),
+                    format(figures[site]["offer_latency_p95_s"], ".4g"),
+                    format(worst_p90[site], ".4g")
+                    if site in worst_p90 else "-",
+                ]
+                for site, stats in registry["sites"].items()
+            ],
+        ))
     offenders = payload.get("worst_estimators") or []
     if offenders:
         print()

@@ -24,8 +24,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.obs.live.events import DEFAULT_CAPACITY, EventRing
-from repro.obs.live.qerror import QErrorObservatory
+from repro.obs.live.events import EventRing
+from repro.obs.live.qerror import QERROR_BUCKETS, QErrorObservatory
 from repro.obs.live.registry import SiteStatsRegistry
 from repro.obs.live.slo import SLOTracker
 
@@ -41,13 +41,20 @@ class LiveObsConfig:
     #: Seed for materializing federation data for q-error execution —
     #: use the world seed so observed rows match what sellers would ship.
     data_seed: int = 7
-    #: `/events` ring capacity.
-    events_capacity: int = DEFAULT_CAPACITY
 
 
-def _numeric_session_id(session_id: str) -> int:
-    digits = "".join(ch for ch in str(session_id) if ch.isdigit())
-    return int(digits) if digits else 0
+#: The ``/metrics/prom`` gauges of :meth:`SiteStatsRegistry.operational`
+#: figures: ``(family, figure key, help)``.
+_SITE_FIGURES = (
+    ("site_settled_price_mean", "settled_price_mean",
+     "mean settled (awarded) offer price"),
+    ("site_offer_latency_p95_seconds", "offer_latency_p95_s",
+     "p95 offered total time, execute+ship (simulated seconds)"),
+    ("site_pricing_effort_mean_seconds", "effort_mean_s",
+     "mean nominal per-offer pricing effort (cache-independent)"),
+    ("site_critical_seconds", "critical_seconds",
+     "seller compute seconds on session critical paths"),
+)
 
 
 class LiveObsHub:
@@ -58,7 +65,7 @@ class LiveObsHub:
         self.world = world
         self.registry = SiteStatsRegistry()
         self.slo = SLOTracker()
-        self.events = EventRing(self.config.events_capacity)
+        self.events = EventRing()
         self.qerror = (
             QErrorObservatory(self.config.qerror_sample_every)
             if self.config.qerror_sample_every > 0
@@ -109,7 +116,7 @@ class LiveObsHub:
     def _maybe_observe_qerror(self, session) -> bool:
         if self.qerror is None:
             return False
-        if not self.qerror.should_sample(_numeric_session_id(session.session_id)):
+        if not self.qerror.should_sample(session.session_id):
             return False
         try:
             data = self._federation_data()
@@ -151,9 +158,6 @@ class LiveObsHub:
     def prom_families(self, builder, slo: dict) -> None:
         """Contribute live-obs metric families to the Prometheus builder;
         *slo* is the :meth:`SLOTracker.summary` the JSON surface shows."""
-        from repro.obs.live.qerror import QERROR_BUCKETS
-        from repro.obs.live.sketch import QuantileSketch
-
         sites = self.registry.snapshot()
         builder.counter(
             "live_sessions_observed",
@@ -200,51 +204,26 @@ class LiveObsHub:
                 stats["response_rate"],
                 site=site,
             )
-            settled = QuantileSketch.from_dict(stats["settled"])
-            builder.gauge(
-                "site_settled_price_mean",
-                "mean settled (awarded) offer price",
-                round(settled.mean, 9),
-                site=site,
-            )
-            latency = QuantileSketch.from_dict(stats["latency"])
-            builder.gauge(
-                "site_offer_latency_p95_seconds",
-                "p95 offered total time, execute+ship (simulated seconds)",
-                latency.quantile(0.95),
-                site=site,
-            )
-        for site, extras in self.registry.operational().items():
-            builder.gauge(
-                "site_pricing_effort_mean_seconds",
-                "mean nominal per-offer pricing effort (cache-independent)",
-                extras["effort_mean_s"],
-                site=site,
-            )
-            builder.gauge(
-                "site_critical_seconds",
-                "seller compute seconds on session critical paths",
-                extras["critical_seconds"],
-                site=site,
-            )
+        for site, site_figures in self.registry.operational().items():
+            for family, key, help_text in _SITE_FIGURES:
+                builder.gauge(family, help_text, site_figures[key], site=site)
         critical = self.registry.critical_summary()
         builder.counter(
             "critpath_sessions_observed",
             "sessions folded in with a critical-path decomposition",
             critical["sessions"],
         )
-        for phase, sketch_dict in critical["phases"].items():
-            sketch = QuantileSketch.from_dict(sketch_dict)
+        for phase, phase_figures in critical["phases"].items():
             builder.gauge(
                 "critpath_phase_seconds_mean",
                 "mean per-session critical-path seconds per phase",
-                round(sketch.mean, 9),
+                phase_figures["mean_s"],
                 phase=phase,
             )
             builder.gauge(
                 "critpath_phase_seconds_p95",
                 "p95 per-session critical-path seconds per phase",
-                sketch.quantile(0.95),
+                phase_figures["p95_s"],
                 phase=phase,
             )
         builder.gauge(

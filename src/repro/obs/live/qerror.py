@@ -17,18 +17,16 @@ worst-offender surfacing is exactly the signal the mid-execution
 re-trading ROADMAP item needs: re-optimize when the running plan's cell
 is known-miscalibrated.
 
-Sampling is deterministic (numeric session id modulo the rate), so
-same-seed runs sample the same sessions and snapshots are
-byte-identical.
+Sampling is deterministic (the number in the broker's ``s<n>`` session
+id, modulo the rate), so same-seed runs sample the same sessions and
+snapshots are byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from bisect import bisect_left
-from typing import Mapping
 
 from repro.execution.engine import FederationData, PlanExecutor
 from repro.execution.tables import ResultSet
@@ -71,14 +69,6 @@ class _Cell:
         if units > self._max_units:
             self._max_units = units
 
-    def merge(self, other: "_Cell") -> None:
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self._sum_units += other._sum_units
-        if other._max_units > self._max_units:
-            self._max_units = other._max_units
-
     @property
     def sum(self) -> float:
         return self._sum_units / _SCALE
@@ -116,17 +106,6 @@ class _Cell:
             "counts": list(self.counts),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "_Cell":
-        cell = cls()
-        cell.count = int(payload.get("count", 0))
-        cell._sum_units = round(float(payload.get("sum", 0.0)) * _SCALE)
-        cell._max_units = max(_SCALE, round(float(payload.get("max", 1.0)) * _SCALE))
-        counts = list(payload.get("counts") or [])
-        for i in range(min(len(counts), len(cell.counts))):
-            cell.counts[i] = int(counts[i])
-        return cell
-
 
 class QErrorObservatory:
     """Per-(site, relation-set-size) q-error histograms over sampled runs."""
@@ -139,13 +118,10 @@ class QErrorObservatory:
         self.nodes_observed = 0
 
     # -- sampling ------------------------------------------------------
-    def should_sample(self, session_id: int | str) -> bool:
-        """Deterministic: numeric session ids modulo the sampling rate."""
-        try:
-            numeric = int(session_id)
-        except (TypeError, ValueError):
-            numeric = sum(ord(c) for c in str(session_id))
-        return numeric % self.sample_every == 0
+    def should_sample(self, session_id: str) -> bool:
+        """Deterministic: the broker mints ``s<n>``; sample when n is a
+        multiple of the sampling rate."""
+        return int(session_id[1:]) % self.sample_every == 0
 
     # -- ingest --------------------------------------------------------
     def observe_plan(
@@ -183,16 +159,6 @@ class QErrorObservatory:
                 cell.add(q)
         return result
 
-    def merge(self, other: "QErrorObservatory") -> None:
-        with self._lock:
-            self.sampled_sessions += other.sampled_sessions
-            self.nodes_observed += other.nodes_observed
-            for key, theirs in other._cells.items():
-                mine = self._cells.get(key)
-                if mine is None:
-                    self._cells[key] = mine = _Cell()
-                mine.merge(theirs)
-
     # -- read ----------------------------------------------------------
     def worst_offenders(self, limit: int = 5) -> list[dict]:
         """Cells ranked by p90 q-error (ties: mean, then key) descending."""
@@ -218,16 +184,3 @@ class QErrorObservatory:
                     for site, size in sorted(self._cells)
                 },
             }
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
-
-    @classmethod
-    def from_snapshot(cls, payload: Mapping) -> "QErrorObservatory":
-        observatory = cls(sample_every=int(payload.get("sample_every", 4)))
-        observatory.sampled_sessions = int(payload.get("sampled_sessions", 0))
-        observatory.nodes_observed = int(payload.get("nodes_observed", 0))
-        for key, cell in (payload.get("cells") or {}).items():
-            site, _, size = key.rpartition("|")
-            observatory._cells[(site, int(size))] = _Cell.from_dict(cell)
-        return observatory

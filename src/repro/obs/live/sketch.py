@@ -1,4 +1,4 @@
-"""A deterministic, mergeable streaming quantile sketch.
+"""A deterministic, order-independent streaming quantile sketch.
 
 The live registries aggregate values (settled prices, valuations,
 simulated offer latencies) from sessions that complete in a
@@ -18,8 +18,7 @@ The sketch keeps only order-independent state:
 
 Quantiles are answered with the upper bound of the covering bucket —
 a deterministic representative within the sketch's relative-error
-guarantee.  ``merge`` adds bucket counts, so merging per-session or
-per-shard sketches in any order yields the same bytes.
+guarantee.
 """
 
 from __future__ import annotations
@@ -72,21 +71,6 @@ class QuantileSketch:
         if self._max_units is None or units > self._max_units:
             self._max_units = units
 
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold *other* in; merge order cannot change the result."""
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-        self.count += other.count
-        self._sum_units += other._sum_units
-        if other._min_units is not None and (
-            self._min_units is None or other._min_units < self._min_units
-        ):
-            self._min_units = other._min_units
-        if other._max_units is not None and (
-            self._max_units is None or other._max_units > self._max_units
-        ):
-            self._max_units = other._max_units
-
     # -- read ----------------------------------------------------------
     @property
     def sum(self) -> float:
@@ -124,7 +108,7 @@ class QuantileSketch:
                 return round(self.bucket_upper(index), 12)
         return round(self.bucket_upper(max(self._buckets)), 12)
 
-    # -- snapshot / restore --------------------------------------------
+    # -- snapshot ------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-data snapshot; JSON of this is the byte-identity surface."""
         return {
@@ -134,16 +118,3 @@ class QuantileSketch:
             "max": round((self._max_units or 0) / _SCALE, 9),
             "buckets": {str(i): self._buckets[i] for i in sorted(self._buckets)},
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QuantileSketch":
-        sketch = cls()
-        sketch.count = int(payload.get("count", 0))
-        sketch._sum_units = round(float(payload.get("sum", 0.0)) * _SCALE)
-        if sketch.count:
-            sketch._min_units = round(float(payload.get("min", 0.0)) * _SCALE)
-            sketch._max_units = round(float(payload.get("max", 0.0)) * _SCALE)
-        sketch._buckets = {
-            int(i): int(c) for i, c in (payload.get("buckets") or {}).items()
-        }
-        return sketch

@@ -109,8 +109,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
     messages: dict[str, dict[str, int]] = {}
     faults: dict[str, int] = {}
     cache: dict[str, dict[str, int]] = {}
-    live_sites: dict[str, dict] = {}
-    live_qerror: dict[str, list[dict]] = {}
     pending_max = None
     sim_span = 0.0
 
@@ -149,14 +147,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
             if outcome == "hit" and row["args"].get("interned"):
                 # Hits on MQO-interned (epoch-priced) commodities.
                 per_site["interned"] = per_site.get("interned", 0) + 1
-        elif row["name"] == "live.site":
-            # Registry rows written by `repro sites --trace-out`: one per
-            # site, args carry the precomputed headline scalars.
-            live_sites[row["site"] or "?"] = dict(row["args"])
-        elif row["name"] == "live.qerror":
-            live_qerror.setdefault(row["site"] or "?", []).append(
-                dict(row["args"])
-            )
 
     slowest.sort(key=lambda r: r["sim_end"] - r["sim_start"], reverse=True)
     return {
@@ -166,8 +156,6 @@ def summarize(rows: Sequence[dict], top: int = 8) -> dict[str, Any]:
         "messages": messages,
         "faults": faults,
         "cache": cache,
-        "live_sites": live_sites,
-        "live_qerror": live_qerror,
         "pending_max": pending_max,
     }
 
@@ -340,41 +328,6 @@ def render_report(rows: Sequence[dict], top: int = 8) -> str:
         out.append(_table(
             ["site", "hits", "misses", "interned", "evicts", "hit rate"],
             rows_,
-        ))
-
-    live_sites = summary["live_sites"]
-    if live_sites:
-        live_qerror = summary["live_qerror"]
-
-        def _fmt(value, spec=".4g"):
-            return format(value, spec) if isinstance(value, (int, float)) else "-"
-
-        def _worst_p90(site: str):
-            cells = [
-                c.get("p90")
-                for c in live_qerror.get(site, [])
-                if isinstance(c.get("p90"), (int, float))
-            ]
-            return max(cells) if cells else None
-
-        out.append("")
-        out.append("live per-site statistics (broker live-obs registry):")
-        out.append(_table(
-            ["site", "wins", "losses", "win rate", "mean settled",
-             "p95 offer latency", "q-error p90"],
-            [
-                [
-                    site,
-                    stats.get("wins", 0),
-                    stats.get("losses", 0),
-                    f"{stats['win_rate']:.1%}"
-                    if isinstance(stats.get("win_rate"), (int, float)) else "-",
-                    _fmt(stats.get("settled_mean")),
-                    _fmt(stats.get("latency_p95")),
-                    _fmt(_worst_p90(site)),
-                ]
-                for site, stats in sorted(live_sites.items())
-            ],
         ))
 
     if summary["pending_max"] is not None:
