@@ -15,13 +15,15 @@ One :class:`BrokerService` owns
   session counts in a :class:`~repro.obs.metrics.MetricsRegistry`, and
   session latency in a :class:`~repro.obs.live.sketch.QuantileSketch`.
 
-Each session gets a *private* network (+ tracer, when the submit asks
-for ``"trace": true`` or the broker runs with live observability) and
-runs inside its own :mod:`contextvars` context with a private offer-id
-counter (:func:`repro.trading.commodity.offer_id_scope`), so
-concurrent sessions mint exactly the offer-id sequence a serial run
-would — which is what makes broker plans (including their ``offer#N``
-provenance strings) equal to serial library runs.
+Each session gets a *private* network (+ tracer, only when the submit
+asks for ``"trace": true``; live observability reads the offer facts
+a :class:`~repro.obs.live.registry.TradeFacts` sink on the network
+collects) and runs inside its own :mod:`contextvars` context with a
+private offer-id counter (:func:`repro.trading.commodity.
+offer_id_scope`), so concurrent sessions mint exactly the offer-id
+sequence a serial run would — which is what makes broker plans
+(including their ``offer#N`` provenance strings) equal to serial
+library runs.
 
 Time is simulated, as in every library trade: each session drives its
 network's deterministic :class:`~repro.net.Simulator` on its worker
@@ -57,6 +59,7 @@ from repro.broker.sessions import (
 )
 from repro.net import Network
 from repro.obs import Tracer, explain
+from repro.obs.live.registry import TradeFacts
 from repro.obs.live.sketch import QuantileSketch
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import ParseError, parse_query
@@ -148,7 +151,8 @@ _ROLLUP_FAMILIES = (
 
 #: Retention defaults: how many terminal sessions stay addressable, and
 #: for how long after they finish.  A retained session holds ~26 KB, or
-#: ~87 KB traced, so the cap is what bounds a long-lived daemon's memory.
+#: ~87 KB when its submit asked for a trace (live observability traces
+#: nothing), so the cap is what bounds a long-lived daemon's memory.
 RETAIN_SESSIONS = 256
 RETAIN_SECONDS = 600.0
 
@@ -256,10 +260,9 @@ class BrokerService:
             mode=mode,
             max_iterations=max_iterations,
             timeout=timeout,
-            # Only a trace somebody reads is recorded: the client's
-            # explain/critpath, or the live-obs hub, which folds every
-            # session's ledger and critical path into its registries.
-            trace=bool(payload.get("trace", self.live is not None)),
+            # Only a trace the client reads (explain/critpath) is
+            # recorded; the live-obs hub learns from the trade's facts.
+            trace=bool(payload.get("trace")),
         )
 
     def submit(self, spec: SessionSpec) -> BrokerSession:
@@ -293,6 +296,8 @@ class BrokerService:
         # gives this session a fresh offer-id counter inside it.
         with offer_id_scope():
             network = Network(self.world.model)
+            if self.live is not None:
+                network.facts = TradeFacts()
             tracer = None
             if session.spec.trace:
                 tracer = Tracer()
@@ -322,20 +327,21 @@ class BrokerService:
                 seed_offers=session.seed_offers,
             )
             session.result = trader.optimize(session.spec.query)
-            if tracer is None:
-                return
-            # A retained session keeps what /explain and /critpath
-            # serve, not the records they are derived from.
-            session.result.derive_trace()
+            if tracer is not None:
+                # A retained session keeps what /explain and /critpath
+                # serve, not the records they are derived from.
+                session.result.derive_trace()
             if self.live is not None:
-                # Stash the session's trace for the live registries; the
-                # hub consumes (and frees) it at terminal bookkeeping.
-                session.live_records = list(tracer.records)
+                self.live.observe_trade(network.facts, session.result)
 
     # -- bookkeeping -------------------------------------------------------
     def note_terminal(self, session: BrokerSession) -> None:
-        """Metrics hook: record a session reaching its terminal state."""
+        """Metrics hook: record a session reaching its terminal state —
+        after the live hub folds it in (outside ``_lock``: q-error runs
+        there), so ``/metrics`` is never ahead of ``/sites``."""
         state = session.state
+        if self.live is not None:
+            self.live.observe_terminal(session)
         with self._lock:
             self.metrics.inc(
                 f"broker.sessions_{state}", tenant=session.spec.tenant
@@ -349,8 +355,6 @@ class BrokerService:
                 )
                 self._latency_ms.add(latency_ms)
             self._retire(session)
-        if self.live is not None:
-            self.live.observe_terminal(session)
 
     def _retire(self, session: BrokerSession) -> None:
         """Enter *session* into the retention window and evict what has

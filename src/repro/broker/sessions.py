@@ -84,10 +84,6 @@ class BrokerSession:
         self.seed_offers: "list | None" = None
         #: The trading epoch that seeded this session (``None`` if none).
         self.epoch: str | None = None
-        #: The session's trace records, stashed for the live-obs hub
-        #: (``None`` unless the broker runs with live observability; the
-        #: hub clears it once the session is folded into the registries).
-        self.live_records: "list | None" = None
         self._done = threading.Event()
 
     @property

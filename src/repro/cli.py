@@ -709,7 +709,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"  GET  {server.url}/sessions/<id>     session status")
     print(f"  GET  {server.url}/sessions/<id>/result")
     print(f"  GET  {server.url}/sessions/<id>/explain"
-          + ("" if args.live_obs else '  (submitted with "trace": true)'))
+          '  (submitted with "trace": true)')
     print(f"  GET  {server.url}/metrics", end="")
     if args.live_obs:
         print()

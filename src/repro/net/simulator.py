@@ -262,6 +262,9 @@ class Network:
         self.stats = NetworkStats()
         self.fault_injector: "FaultInjector | None" = None
         self.tracer: Tracer = NULL_TRACER
+        #: Optional offer-fact sink, reached like the tracer (the broker's
+        #: live :class:`~repro.obs.live.registry.TradeFacts`).
+        self.facts = None
         self._handlers: dict[str, Handler] = {}
         self._busy_until: dict[str, float] = {}
         # Monotone per-session Lamport counter for causal message ids.

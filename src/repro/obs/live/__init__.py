@@ -13,9 +13,9 @@ whole-run traces in memory.
   thread count) are byte-identical.
 * :class:`SiteStatsRegistry` — per-site win/loss counts, settled-price
   and valuation sketches, offer-latency sketches, and RFB
-  fanout/response accounting, consumed from decision ledgers and trace
-  records as sessions complete.  Its reads of the headline figures
-  (:meth:`~SiteStatsRegistry.operational`,
+  fanout/response accounting, folded from the offer facts each trade
+  hands its ``TradeFacts`` sink (no trace needed).  Its reads of the
+  headline figures (:meth:`~SiteStatsRegistry.operational`,
   :meth:`~SiteStatsRegistry.critical_summary`) are what ``GET /sites``,
   ``/metrics/prom`` and ``repro sites`` print.
 * :class:`QErrorObservatory` — runs purchased plans through the

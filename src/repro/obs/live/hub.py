@@ -1,11 +1,14 @@
 """The broker-facing coordinator for live observability.
 
 A :class:`LiveObsHub` owns the live registries and is the *only* thing
-:class:`~repro.broker.service.BrokerService` talks to — one
-``observe_terminal(session)`` call per finished session fans out to:
+:class:`~repro.broker.service.BrokerService` talks to.  One
+``observe_trade(facts, result)`` call per finished trade folds the
+offer facts the trade handed its :class:`~repro.obs.live.registry.
+TradeFacts` sink (and, for a session traced on request, its critical
+path) into the :class:`~repro.obs.live.registry.SiteStatsRegistry`;
+live-obs sessions are not traced.  One ``observe_terminal(session)``
+call per finished session fans out to:
 
-* the :class:`~repro.obs.live.registry.SiteStatsRegistry` (ledger +
-  trace records),
 * the :class:`~repro.obs.live.slo.SLOTracker` (the SLO epoch window;
   the run totals it judges are the broker's),
 * the :class:`~repro.obs.live.qerror.QErrorObservatory` on
@@ -42,6 +45,21 @@ class LiveObsConfig:
     #: use the world seed so observed rows match what sellers would ship.
     data_seed: int = 7
 
+
+#: The ``/metrics/prom`` families of the registry snapshot's global
+#: counts: ``(builder method, family, snapshot key, help)``.
+_REGISTRY_FAMILIES = (
+    ("counter", "live_sessions_observed", "sessions",
+     "sessions folded into the live registries"),
+    ("counter", "live_rounds_observed", "rounds",
+     "trading rounds folded into the live registries"),
+    ("counter", "live_rfb_fanout", "rfb_fanout",
+     "RFB messages broadcast across observed sessions"),
+    ("counter", "live_rfb_responded", "rfb_responded",
+     "RFB deliveries answered with offers across observed sessions"),
+    ("gauge", "live_rfb_response_ratio", "response_ratio",
+     "responded / fanout across observed sessions"),
+)
 
 #: The ``/metrics/prom`` gauges of :meth:`SiteStatsRegistry.operational`
 #: figures: ``(family, figure key, help)``.
@@ -83,8 +101,16 @@ class LiveObsHub:
             tenant=session.spec.tenant,
         )
 
+    def observe_trade(self, facts, result) -> None:
+        """Fold one finished trade's *facts* into the per-site registry."""
+        telemetry = result.telemetry
+        self.registry.observe_session(
+            facts, telemetry and telemetry.critical_path
+        )
+
     def observe_terminal(self, session) -> None:
-        """Fold one terminal session into every live registry."""
+        """Fold one terminal session into the SLO, q-error and event
+        registries."""
         state = session.state
         if state == "shed":
             self.slo.observe_shed()
@@ -95,14 +121,6 @@ class LiveObsHub:
         latency = session.latency or 0.0
         self.slo.observe_completion(latency, degraded=(state == "degraded"))
         result = session.result
-        ledger = result.ledger if result is not None else None
-        records = getattr(session, "live_records", None)
-        telemetry = result.telemetry if result is not None else None
-        critical_path = (
-            telemetry.critical_path if telemetry is not None else None
-        )
-        self.registry.observe_session(ledger, records, critical_path)
-        session.live_records = None  # the hub is the records' last stop
         event = {
             "session": session.session_id,
             "state": state,
@@ -159,51 +177,24 @@ class LiveObsHub:
         """Contribute live-obs metric families to the Prometheus builder;
         *slo* is the :meth:`SLOTracker.summary` the JSON surface shows."""
         sites = self.registry.snapshot()
-        builder.counter(
-            "live_sessions_observed",
-            "sessions folded into the live registries",
-            sites["sessions"],
-        )
-        builder.counter(
-            "live_rounds_observed",
-            "trading rounds folded into the live registries",
-            sites["rounds"],
-        )
-        builder.counter(
-            "live_rfb_fanout",
-            "RFB messages broadcast across observed sessions",
-            sites["rfb_fanout"],
-        )
-        builder.counter(
-            "live_rfb_responded",
-            "RFB deliveries answered with offers across observed sessions",
-            sites["rfb_responded"],
-        )
-        builder.gauge(
-            "live_rfb_response_ratio",
-            "responded / fanout across observed sessions",
-            sites["response_ratio"],
-        )
-        counters = (
-            ("wins", "offers this site won"),
-            ("losses", "offers this site lost at ranking"),
-            ("offers_priced", "offers this site priced"),
-            ("offers_received", "offers from this site the buyer received"),
-            ("rfbs_handled", "RFBs delivered to this site"),
-            ("rfbs_answered", "RFBs this site answered with offers"),
+        for kind, family, key, help_text in _REGISTRY_FAMILIES:
+            getattr(builder, kind)(family, help_text, sites[key])
+        per_site = (
+            ("counter", "wins", "offers this site won"),
+            ("counter", "losses", "offers this site lost at ranking"),
+            ("counter", "offers_priced", "offers this site priced"),
+            ("counter", "offers_received",
+             "offers from this site the buyer received"),
+            ("counter", "rfbs_handled", "RFBs delivered to this site"),
+            ("counter", "rfbs_answered", "RFBs this site answered with offers"),
+            ("gauge", "win_rate", "offer win rate"),
+            ("gauge", "response_rate", "RFB response rate"),
         )
         for site, stats in sites["sites"].items():
-            for key, help_text in counters:
-                builder.counter(f"site_{key}", help_text, stats[key], site=site)
-            builder.gauge(
-                "site_win_rate", "offer win rate", stats["win_rate"], site=site
-            )
-            builder.gauge(
-                "site_response_rate",
-                "RFB response rate",
-                stats["response_rate"],
-                site=site,
-            )
+            for kind, key, help_text in per_site:
+                getattr(builder, kind)(
+                    f"site_{key}", help_text, stats[key], site=site
+                )
         for site, site_figures in self.registry.operational().items():
             for family, key, help_text in _SITE_FIGURES:
                 builder.gauge(family, help_text, site_figures[key], site=site)
@@ -226,27 +217,20 @@ class LiveObsHub:
                 phase_figures["p95_s"],
                 phase=phase,
             )
-        builder.gauge(
-            "slo_shed_ratio", "shed sessions / arrivals", slo["shed_ratio"]
-        )
-        builder.gauge(
-            "slo_shed_within_budget",
-            "1 when the shed ratio is within budget",
-            int(slo["shed_within_budget"]),
-        )
-        builder.gauge(
-            "slo_degraded_ratio",
-            "degraded completions / completions",
-            slo["degraded_ratio"],
-        )
-        builder.gauge(
-            "slo_degraded_within_budget",
-            "1 when the degraded ratio is within budget",
-            int(slo["degraded_within_budget"]),
-        )
-        builder.gauge(
-            "slo_epoch", "index of the current SLO epoch", slo["epoch"]["epoch"]
-        )
+        for family, help_text, value in (
+            ("slo_shed_ratio", "shed sessions / arrivals", slo["shed_ratio"]),
+            ("slo_shed_within_budget",
+             "1 when the shed ratio is within budget",
+             int(slo["shed_within_budget"])),
+            ("slo_degraded_ratio", "degraded completions / completions",
+             slo["degraded_ratio"]),
+            ("slo_degraded_within_budget",
+             "1 when the degraded ratio is within budget",
+             int(slo["degraded_within_budget"])),
+            ("slo_epoch", "index of the current SLO epoch",
+             slo["epoch"]["epoch"]),
+        ):
+            builder.gauge(family, help_text, value)
         if self.qerror is not None:
             snap = self.qerror.snapshot()
             builder.counter(

@@ -3,58 +3,45 @@
 The :class:`SiteStatsRegistry` is the substrate both open ROADMAP items
 stand on: adaptive top-k RFB fanout needs learned per-site win rates,
 price distributions, and latency; mid-execution re-trading needs a live
-view of who is answering and at what price.  It consumes exactly what a
-finished broker session already carries:
+view of who is answering and at what price.  No trace is read: a
+:class:`TradeFacts` sink on the session's network collects, as the
+trade runs, each priced offer's seller, offered latency (``total_time``)
+and nominal effort (the seller's dedupe; a seed offer at the buyer's
+intake), its value if the buyer received it, its settled price if
+awarded (``Protocol.award``), whether each RFB delivery was answered,
+and each solicitation's fanout and responders.
 
-* the **decision ledger** for offer pricing, offered latency
-  (``total_time``: the seller's promised execute+ship time), intake,
-  awards, and settled prices;
-* the session's **trace records** for RFB accounting the ledger omits:
-  handled/answered counts from ``seller.compute`` spans and fanout
-  sizes from ``rfb.fanout`` span args.
+Every accumulator is an integer count or a :class:`~repro.obs.live.
+sketch.QuantileSketch` — so a registry built from any interleaving of
+the same sessions snapshots to identical bytes.  Pricing effort is
+**nominal** (enumerated plans × seconds-per-plan, cache-independent):
+the seller's charged work depends on which session hit the shared
+offer cache first, so it is not deterministic under concurrency.
 
-Only record *args* are read, never sim/wall timestamps, and every
-accumulator is an integer count or a :class:`~repro.obs.live.sketch.
-QuantileSketch` — so a registry built from any interleaving of the same
-sessions snapshots to identical bytes.
+Sessions traced on request (``"trace": true``) also carry a
+critical-path decomposition (:mod:`repro.obs.critpath`), folded into
+per-phase latency sketches and each seller's compute seconds on the
+critical path.  Those figures are a sample of the traced sessions and
+stay off the byte-identity snapshot: a critical path attributes the
+compute that actually ran, and which session pays a shared subquery
+is an interleaving accident.
 
-Pricing-effort accounting is **nominal**: the per-offer ``effort``
-field the ledger stamps at ``ledger.priced`` time (enumerated plans ×
-seconds-per-plan, independent of cache state).  The actual
-``seller.compute`` span ``work`` is *not* used — with the broker's
-shared cross-session offer cache, which session pays the pricing cost
-depends on completion interleaving, so ``work`` is not run-to-run
-deterministic under concurrency.  Nominal effort is, which is what
-lets the :attr:`SiteStats.effort` sketch live in the byte-identity
-snapshot.
-
-When sessions carry a critical-path decomposition
-(:mod:`repro.obs.critpath`), the registry also aggregates per-phase
-critical-path latency sketches and each seller's compute seconds *on*
-the critical path.  Those aggregates stay on the *operational*
-surface rather than the byte-identity snapshot: a session's critical
-path attributes the compute that *actually* ran, and under shared
-cross-session pricing which session pays a shared subquery is an
-interleaving accident — exactly the raciness that disqualified raw
-``work`` from the effort sketch.
-
-Every headline figure read off the sketches (settled-price mean,
-offer-latency p95, effort, critical seconds, per-phase critical-path
-mean and p95) is computed in one place, :meth:`SiteStatsRegistry.
-operational` and :meth:`SiteStatsRegistry.critical_summary`; ``GET
-/sites``, ``/metrics/prom`` and ``repro sites`` all print from them.
+Every headline figure read off the sketches is computed in one place,
+:meth:`SiteStatsRegistry.operational` and :meth:`SiteStatsRegistry.
+critical_summary`; ``GET /sites``, ``/metrics/prom`` and ``repro
+sites`` all print from them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.obs.ledger import NegotiationLedger
 from repro.obs.live.sketch import QuantileSketch
-from repro.obs.tracer import TraceRecord
 
-__all__ = ["SiteStats", "SiteStatsRegistry", "SITE_STATS_SCHEMA_VERSION"]
+__all__ = [
+    "SiteStats", "SiteStatsRegistry", "TradeFacts", "SITE_STATS_SCHEMA_VERSION"
+]
 
 #: Bump when the snapshot shape changes.
 SITE_STATS_SCHEMA_VERSION = 2  # v2: nominal per-offer effort sketch
@@ -88,8 +75,7 @@ class SiteStats:
         self.valuation = QuantileSketch()  # buyer valuations of its offers
         self.latency = QuantileSketch()    # offered total time (sim s)
         #: Nominal per-offer pricing effort (sim s): enumerated plans ×
-        #: seconds-per-plan as stamped at ``ledger.priced`` time, so it
-        #: is cache-independent and deterministic.
+        #: seconds-per-plan, so it is cache-independent and deterministic.
         self.effort = QuantileSketch()
         #: Seller compute seconds attributed to session critical paths,
         #: kept as integer nano-units (like the sketch sums) so the
@@ -144,71 +130,38 @@ class SiteStatsRegistry:
 
     # -- ingest --------------------------------------------------------
     def observe_session(
-        self,
-        ledger: NegotiationLedger | None,
-        records: Iterable[TraceRecord] | None = None,
-        critical_path: Mapping | None = None,
+        self, facts: "TradeFacts", critical_path: Mapping | None = None
     ) -> None:
-        """Fold one completed session's ledger + trace into the registry.
-
-        Untraced sessions contribute nothing — the ledger only exists
-        when tracing was on, which under live observability is the
-        broker's default.  *critical_path* is the session telemetry's
-        decomposition dict (``RunTelemetry.critical_path``), when one
-        was computed.
-        """
-        if ledger is None:
-            return
+        """Fold one finished trade's *facts* into the registry, with the
+        session's critical-path decomposition (``RunTelemetry.
+        critical_path``) when it was traced."""
         with self._lock:
             self.sessions += 1
-            self.rounds += len(ledger.rounds)
-            for offer_id in sorted(ledger.offers):
-                node = ledger.offers[offer_id]
-                seller = node.get("seller")
-                if not seller:
-                    continue
+            self.rounds += facts.rounds
+            self.rfb_fanout += facts.fanout
+            self.rfb_responded += facts.responded
+            for seller, (handled, answered) in facts.rfbs.items():
+                stats = self._site(seller)
+                stats.rfbs_handled += handled
+                stats.rfbs_answered += answered
+            for seller, total_time, effort, value, price in (
+                facts.offers.values()
+            ):
                 stats = self._site(seller)
                 stats.offers_priced += 1
-                total_time = node.get("total_time")
-                if total_time is not None:
-                    stats.latency.add(float(total_time))
-                effort = node.get("effort")
+                stats.latency.add(total_time)
                 if effort is not None:
-                    stats.effort.add(float(effort))
-                if node.get("received"):
+                    stats.effort.add(effort)
+                if value is not None:
                     stats.offers_received += 1
-                    value = node.get("value")
-                    if value is not None:
-                        stats.valuation.add(float(value))
-                if node.get("awarded"):
+                    stats.valuation.add(value)
+                if price is not None:
                     stats.wins += 1
-                    price = node.get("price")
-                    if price is None:
-                        price = node.get("money")
-                    if price is not None:
-                        stats.settled.add(float(price))
-                elif node.get("received"):
+                    stats.settled.add(price)
+                elif value is not None:
                     stats.losses += 1
-            if records is not None:
-                self._observe_records(records)
             if critical_path is not None:
                 self._observe_critical(critical_path)
-
-    def _observe_records(self, records: Iterable[TraceRecord]) -> None:
-        """Latency/fanout accounting from trace record *args* only."""
-        for record in records:
-            if record.kind != "span":
-                continue
-            args = record.args or {}
-            if record.name == "seller.compute" and record.site:
-                stats = self._site(record.site)
-                stats.rfbs_handled += 1
-                if args.get("offers"):
-                    stats.rfbs_answered += 1
-            elif record.name == "rfb.fanout":
-                self.rfb_fanout += int(args.get("sellers", 0))
-            elif record.name == "protocol.solicit":
-                self.rfb_responded += int(args.get("responded", 0))
 
     def _observe_critical(self, decomposition: Mapping) -> None:
         """Fold one session's critical-path decomposition in."""
@@ -248,14 +201,9 @@ class SiteStatsRegistry:
     def operational(self) -> dict:
         """The per-site headline figures, read once off the sketches:
         settled-price mean, offer-latency p95, nominal pricing effort,
-        and each site's seller-compute seconds on session critical
-        paths.  ``GET /sites`` serves this dict as ``operational``.
-
-        Critical-path attribution is *actual*, not nominal: under
-        cross-session shared pricing, which session pays a shared
-        subquery's compute depends on thread interleaving, so these
-        figures (like wall-clock latencies) stay off the byte-identity
-        snapshot surface."""
+        and each site's seller-compute seconds on sampled critical paths
+        (interleaving-dependent, so off the byte-identity snapshot).
+        ``GET /sites`` serves this dict as ``operational``."""
         with self._lock:
             return {
                 name: {
@@ -282,3 +230,45 @@ class SiteStatsRegistry:
                     for phase, sketch in sorted(self.phase_latency.items())
                 },
             }
+
+
+class TradeFacts:
+    """One trade's offer facts, handed in as the trade runs through
+    ``Network.facts`` and folded by :meth:`SiteStatsRegistry.
+    observe_session`.  Offers are keyed by id, so a duplicated delivery
+    counts once.  One trade, one thread: no lock."""
+
+    def __init__(self) -> None:
+        #: offer id -> [seller, total_time, effort, value, price]; value
+        #: and price stay ``None`` until received and awarded, effort
+        #: for a seed offer priced outside the trade.
+        self.offers: dict[int, list] = {}
+        self.rfbs: dict[str, list[int]] = {}  # seller -> [handled, answered]
+        self.rounds = self.fanout = self.responded = 0
+
+    def _entry(self, offer) -> list:
+        return self.offers.setdefault(
+            offer.offer_id,
+            [offer.seller, offer.properties.total_time, None, None, None],
+        )
+
+    def priced(self, offers, efforts: Mapping[str, float]) -> None:
+        for offer in offers:
+            effort = efforts.get(offer.request_key, 0.0)
+            self._entry(offer)[2] = round(effort, 12)
+
+    def received(self, offer, value: float) -> None:
+        self._entry(offer)[3] = value
+
+    def awarded(self, offer) -> None:
+        if offer.offer_id in self.offers:
+            self.offers[offer.offer_id][4] = offer.properties.money
+
+    def delivered(self, seller: str, answered: bool) -> None:
+        counts = self.rfbs.setdefault(seller, [0, 0])
+        counts[0] += 1
+        counts[1] += answered
+
+    def solicited(self, fanout: int, responded: int) -> None:
+        self.fanout += fanout
+        self.responded += responded

@@ -125,11 +125,14 @@ class NegotiationProtocol:
         ):
             self._ensure_registered(network, buyer, sellers)
             final = self.settle_prices(winning, losing)
+            facts = network.facts
             # Award decisions with *settled* prices (a Vickrey protocol
             # reprices between winning and final).  An amortized MQO
             # seed offer carries its sharer count so the award records
             # show this price is one session's share of a split cost.
             for offer in final:
+                if facts is not None:
+                    facts.awarded(offer)
                 tracer.event(
                     "ledger.award", "decision", site=buyer,
                     offer=offer.offer_id, seller=offer.seller,
@@ -259,6 +262,8 @@ class BiddingProtocol(NegotiationProtocol):
                 agent = sellers[message.recipient]
                 offers, work = agent.prepare_offers(message.payload)
                 done = net.compute(message.recipient, work)
+                if net.facts is not None:
+                    net.facts.delivered(message.recipient, bool(offers))
                 if net.tracer.enabled:
                     # The booked optimization effort as a span on the
                     # seller's busy timeline.
@@ -376,6 +381,9 @@ class BiddingProtocol(NegotiationProtocol):
             # collection.
             state["timer"] = None
             del issue
+            if network.facts is not None:  # one RFB per seller per wave
+                fanout = len(expected) * (1 + state["retries"])
+                network.facts.solicited(fanout, len(responded))
             return _solicited(span, SolicitResult(
                 offers=collected,
                 started_at=started,

@@ -149,8 +149,9 @@ class SellerAgent:
         self._held_relations = frozenset(
             name for name, fids in local.held.items() if fids
         )
-        #: Observability hook; the trader attaches its network tracer.
+        #: Observability hooks; the trader attaches its network's.
         self.tracer: Tracer = NULL_TRACER
+        self.facts = None
         #: Cache lineage of the most recent :meth:`optimize_cached` call
         #: ("hit" / "miss" / "none"), read by the decision-ledger
         #: instrumentation right after the call.
@@ -171,6 +172,7 @@ class SellerAgent:
     ) -> tuple[list[Offer], float]:
         """All offers for *rfb*, plus the simulated optimization effort."""
         tracer = self.tracer
+        facts = self.facts
         with tracer.span(
             "seller.prepare_offers", "trading", site=self.node,
             round=rfb.round_number, queries=len(rfb.queries),
@@ -186,12 +188,14 @@ class SellerAgent:
                 self._last_cache_lineage = "none"
                 self._nominal_effort = 0.0
                 new_offers, query_work = self._offers_for(query, rfb)
-                if tracer.enabled:
+                if tracer.enabled or facts is not None:
                     lineage[query.key()] = self._last_cache_lineage
                     efforts[query.key()] = self._nominal_effort
                 offers.extend(new_offers)
                 work += query_work
             deduped = _dedupe(offers)
+            if facts is not None:
+                facts.priced(deduped, efforts)
             if tracer.enabled:
                 # Decision-ledger provenance: one pricing record per
                 # offer that survives dedupe, carrying the optimization

@@ -265,7 +265,8 @@ class QueryTrader:
         """Run the full iterative trading negotiation for *query*."""
         net = self.network
         tracer = net.tracer
-        self._wire_tracer(tracer)
+        facts = net.facts
+        self._wire(tracer, facts)
         mark = len(tracer.records)
         with tracer.span(
             "trade.optimize", "trading", site=self.buyer, query=query.key()
@@ -296,6 +297,8 @@ class QueryTrader:
                 estimate = estimates.get(offer.query.key())
                 if estimate is None or value < estimate:
                     estimates[offer.query.key()] = value
+                if facts is not None:
+                    facts.received(offer, value)
                 tracer.event(
                     "ledger.offer", "decision", site=self.buyer,
                     offer=offer.offer_id,
@@ -355,6 +358,8 @@ class QueryTrader:
                     result = self.protocol.solicit(
                         net, self.buyer, self.sellers, rfb
                     )
+                    if facts is not None:
+                        facts.rounds += 1
                     resilience.timeouts_fired += result.timeouts_fired
                     resilience.retries += result.retries
                     for offer in result.offers:
@@ -371,6 +376,8 @@ class QueryTrader:
                         )
                         if kept:
                             offers[key] = offer
+                        if facts is not None:
+                            facts.received(offer, value)
                         if tracer.enabled:
                             self._ledger_offer(
                                 tracer, offer, current, value, kept,
@@ -520,19 +527,20 @@ class QueryTrader:
             outcome.attach_records(tracer.records[mark:])
         return outcome
 
-    def _wire_tracer(self, tracer: Tracer) -> None:
+    def _wire(self, tracer: Tracer, facts) -> None:
         """Propagate the network tracer (``NULL_TRACER`` when untraced)
         into every layer this trader drives: plan generator, seller
-        agents and their (possibly shared) offer caches.
+        agents (with the offer-fact sink) and their offer caches.
 
         Runs on every :meth:`optimize`, so an untraced trade over agents
         or a shared cache that an earlier traced trade wired records
-        nothing into the earlier trade's tracer.
+        nothing into the earlier trade's tracer or sink.
         """
         self.plan_generator.tracer = tracer
         seen: set[int] = set()
         for agent in self.sellers.values():
             agent.tracer = tracer
+            agent.facts = facts
             cache = getattr(agent, "offer_cache", None)
             if cache is not None and id(cache) not in seen:
                 seen.add(id(cache))
