@@ -2,7 +2,7 @@
 
 Trace byte-identity tests elsewhere compare two runs of the same code,
 so a record that moves, disappears or changes its args passes them as
-long as it does so every time.  ``golden_traces.json`` holds, for six
+long as it does so every time.  ``golden_traces.json`` holds, for seven
 traced negotiations, the sha256 of the deterministic JSONL export
 (:func:`repro.obs.export.jsonl_lines`), recorded before the traced and
 untraced twin methods of each layer were merged into one span-wrapped
@@ -14,6 +14,9 @@ trace, the decision ledger
 (:meth:`repro.obs.NegotiationLedger.to_json`) and ``repro report``'s
 text (:func:`repro.obs.render_report` over the JSONL rows), recorded
 while the causal DAG and the per-trade metrics registry still existed.
+The ``replicas`` case, replica sellers answering one RFB through one
+shared offer cache, was recorded before sellers with equal holdings
+started sharing their pricing work within an RFB.
 
 Each case asserts that it reached the code path it is named for, so a
 digest cannot keep passing by no longer exercising that path.  A
@@ -113,6 +116,34 @@ def case_empty_sellers() -> list:
         and r.args["offers"] == 0 and r.args["work"] == 0.0
     }
     assert {"node8", "node9", "node10", "node11"} <= idle
+    return records
+
+
+def case_replicas() -> list:
+    """Four sellers holding the same fragments answer each RFB through
+    the world's one offer cache, and a subcontracting seller buys from
+    them over its own nested RFB."""
+    world = build_world(
+        nodes=6, n_relations=3, fragments=1, replicas=5, seed=7
+    )
+    replicas = ("node0", "node1", "node2", "node3")
+    held = {node: world.catalog.local(node).held for node in replicas}
+    assert all(h == held["node0"] for h in held.values())
+    tracer = Tracer()
+    with offer_id_scope():
+        assert trade(
+            world, chain_query(3), tracer=tracer, subcontracting=True
+        ).found
+    records = tracer.records
+    priced = [
+        r.site for r in records
+        if r.name == "seller.prepare_offers" and r.args["offers"] > 0
+    ]
+    # Each replica answers the fanout of both rounds and the nested RFB.
+    assert all(priced.count(node) >= 3 for node in replicas)
+    assert {"node0", "node1", "node2", "node3"} <= {
+        r.site for r in records if r.name == "cache.miss"
+    }
     return records
 
 
@@ -224,6 +255,7 @@ CASES = {
     "trade": case_trade,
     "bargaining": case_bargaining,
     "empty_sellers": case_empty_sellers,
+    "replicas": case_replicas,
     "fault_crash": case_fault_crash,
     "fault_lossy": case_fault_lossy,
     "broker": case_broker,
