@@ -35,6 +35,7 @@ sites`` all print from them.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import Mapping
 
 from repro.obs.live.sketch import QuantileSketch
@@ -144,22 +145,27 @@ class SiteStatsRegistry:
                 stats = self._site(seller)
                 stats.rfbs_handled += handled
                 stats.rfbs_answered += answered
+            # Offers repeat few values per site: each sketch takes
+            # every distinct value once, with its count.
+            folded: Counter = Counter()
             for seller, total_time, effort, value, price in (
                 facts.offers.values()
             ):
                 stats = self._site(seller)
                 stats.offers_priced += 1
-                stats.latency.add(total_time)
+                folded[seller, "latency", total_time] += 1
                 if effort is not None:
-                    stats.effort.add(effort)
+                    folded[seller, "effort", effort] += 1
                 if value is not None:
                     stats.offers_received += 1
-                    stats.valuation.add(value)
+                    folded[seller, "valuation", value] += 1
                 if price is not None:
                     stats.wins += 1
-                    stats.settled.add(price)
+                    folded[seller, "settled", price] += 1
                 elif value is not None:
                     stats.losses += 1
+            for (seller, sketch, value), count in folded.items():
+                getattr(self._sites[seller], sketch).add(value, count)
             if critical_path is not None:
                 self._observe_critical(critical_path)
 

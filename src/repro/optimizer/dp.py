@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.optimizer.joingraph import JoinGraph
-from repro.optimizer.plans import Plan, PlanBuilder
+from repro.optimizer.plans import Plan, PlanBuilder, moved_to
 from repro.sql.expr import Expr, TRUE, conjoin, implies
 from repro.sql.query import Aggregate, SPJQuery
 
@@ -50,6 +50,24 @@ class DPResult:
     best: dict[frozenset[str], Plan] = field(default_factory=dict)
     enumerated: int = 0
     graph: JoinGraph | None = None
+
+    def moved_to(self, site: str) -> "DPResult":
+        """This result as the same run at *site* returns it, for a site
+        with this one's capabilities: the plans re-sited by a walk
+        (:func:`~repro.optimizer.plans.moved_to`), nothing enumerated."""
+        moved: dict[int, Plan] = {}
+        return DPResult(
+            plan=(
+                None if self.plan is None
+                else moved_to(self.plan, site, moved)
+            ),
+            best={
+                subset: moved_to(plan, site, moved)
+                for subset, plan in self.best.items()
+            },
+            enumerated=self.enumerated,
+            graph=self.graph,
+        )
 
 
 def subset_connected(

@@ -19,7 +19,7 @@ born with consistent estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from repro.cost.estimator import CardinalityEstimator
@@ -40,6 +40,7 @@ __all__ = [
     "Purchased",
     "PlanBuilder",
     "fold_response_time",
+    "moved_to",
 ]
 
 
@@ -320,6 +321,40 @@ class Purchased(Plan):
             f"Purchased from {self.seller} offer#{self.offer_id} [{cov}]"
             f" [rows={self.rows:.0f} t={self.op_time:.4f}s]"
         )
+
+
+#: The plan-valued fields of each operator a single-site optimizer
+#: builds (no :class:`Transfer`, no :class:`Purchased`).
+_LOCAL_CHILDREN: dict[type, tuple[str, ...]] = {
+    FragmentScan: (),
+    HashJoin: ("left", "right"),
+    NestedLoopJoin: ("left", "right"),
+    Union: ("inputs",),
+    GroupAgg: ("child",),
+    Sort: ("child",),
+}
+
+
+def moved_to(plan: Plan, site: str, moved: dict[int, Plan]) -> Plan:
+    """*plan*, built wholly at one site, rebuilt to run at *site*.
+
+    Rows and operator times are kept, which is exact when *site* has
+    the capabilities of the plan's own site: a walk, not a
+    re-optimization.  *moved* maps ``id`` of each original node to its
+    copy, so subtrees shared between plans stay shared.
+    """
+    copy = moved.get(id(plan))
+    if copy is None:
+        children = {}
+        for name in _LOCAL_CHILDREN[type(plan)]:
+            value = getattr(plan, name)
+            children[name] = (
+                tuple(moved_to(p, site, moved) for p in value)
+                if isinstance(value, tuple)
+                else moved_to(value, site, moved)
+            )
+        copy = moved[id(plan)] = replace(plan, site=site, **children)
+    return copy
 
 
 class PlanBuilder:

@@ -39,6 +39,7 @@ from repro.sql.schema import Fragment, PartitionScheme, Relation
 __all__ = [
     "RewrittenQuery",
     "rewrite_query",
+    "rewrite_to_coverage",
     "compatible_coverage",
     "coverage_restriction",
     "fragment_overlaps",
@@ -205,6 +206,17 @@ def rewrite_query(
     coverage = compatible_coverage(query, schemes, held)
     if not coverage:
         return None
+    return rewrite_to_coverage(query, schemes, coverage)
+
+
+def rewrite_to_coverage(
+    query: SPJQuery,
+    schemes: Mapping[str, PartitionScheme],
+    coverage: Mapping[str, frozenset[int]],
+) -> RewrittenQuery | None:
+    """The rewrite step of :func:`rewrite_query`, given the non-empty
+    :func:`compatible_coverage` of the node's holdings (for a caller
+    that has already computed it)."""
     dropped = {ref.alias for ref in query.relations} - coverage.keys()
 
     if dropped:

@@ -24,6 +24,14 @@ held fragments the query's selection may read
 (:func:`~repro.sql.rewrite.compatible_coverage`) — so every seller that
 can answer the same part of a query shares one rewrite, whatever else
 it holds.
+
+Within one RFB the sellers share still more, outside this cache: the
+first seller of each class (equal holdings of the query's relations,
+capabilities, cache and settings) rewrites, optimizes and builds the
+unpriced offers once, in the RFB's private memo
+(:class:`~repro.trading.seller.SellerAgent`).  Each seller still does
+its own lookup and store here, at its own site, so hits, misses,
+evictions and charged work are what they would be without that memo.
 """
 
 from __future__ import annotations

@@ -196,6 +196,27 @@ class Offer:
         return base
 
 
+class _SellerMemo:
+    """Pricing work the sellers of one RFB share, private to that RFB.
+
+    ``classes`` maps a seller class (request, held fragments,
+    capabilities and every setting its pricing depends on) to the work
+    its first seller did; ``fragments`` maps (request, alias, fragment
+    id) to the single-fragment sub-query any seller holding that
+    fragment offers.  Keys hold object identities, which a pickle or a
+    deep copy does not keep, so either starts empty.
+    """
+
+    __slots__ = ("classes", "fragments")
+
+    def __init__(self) -> None:
+        self.classes: dict = {}
+        self.fragments: dict = {}
+
+    def __reduce__(self):
+        return (_SellerMemo, ())
+
+
 @dataclass(frozen=True)
 class RequestForBids:
     """An RFB: the buyer's query set with strategic value estimates.
@@ -210,6 +231,11 @@ class RequestForBids:
     sessions sharing that commodity this epoch, so sellers can stamp
     their pricing lineage with the amortization factor.  Empty for
     every ordinary single-session RFB.
+
+    ``_memo`` holds the sellers' shared pricing work (see
+    :class:`~repro.trading.seller.SellerAgent`): it lives and dies with
+    this RFB, is never compared, and ``dataclasses.replace`` gives the
+    copy a fresh one.
     """
 
     buyer: str
@@ -217,6 +243,9 @@ class RequestForBids:
     reservations: Mapping[str, float] = field(default_factory=dict)
     round_number: int = 0
     shared_counts: Mapping[str, int] = field(default_factory=dict)
+    _memo: _SellerMemo = field(
+        default_factory=_SellerMemo, init=False, repr=False, compare=False
+    )
 
     def reservation_for(self, query: SPJQuery) -> float | None:
         return self.reservations.get(query.key())

@@ -22,6 +22,16 @@ On receiving an RFB the seller:
 4. asks its **strategy** to price every candidate offer (competitive
    sellers may shade or decline).
 
+Sellers of one RFB that hold the same fragments of a requested query,
+run on equal capabilities and share one offer cache and settings form a
+*class*: steps 1–2 and the unpriced offers they yield are computed once
+per class, by its first seller, and kept in the RFB's private memo
+(each single-fragment sub-query likewise, once per RFB).  Every seller
+still books its own step 2 as if it had run it: its own cache lookup
+(the hit fraction on a hit; on a miss the full effort, storing the
+result moved to its own site), lineage and nominal effort, and it does
+steps 3–4 itself.  A seller without an offer cache shares nothing.
+
 The returned ``work_seconds`` is the simulated local optimization effort
 (enumerated plans × per-plan cost), which the network simulator charges
 to the seller's compute timeline.
@@ -29,21 +39,27 @@ to the seller's compute timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.catalog.catalog import LocalCatalog
 from repro.cost.model import NodeCapabilities
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optimizer.dp import DPResult, DynamicProgrammingOptimizer
 from repro.optimizer.plans import Plan, PlanBuilder
-from repro.sql.expr import TRUE
-from repro.sql.query import SPJQuery
-from repro.sql.rewrite import (
-    RewrittenQuery,
-    compatible_coverage,
-    rewrite_query,
+from repro.sql.expr import (
+    TRUE,
+    Expr,
+    conjoin,
+    implies,
+    normalize_conjunction,
 )
+from repro.sql.query import SPJQuery
+from repro.sql.rewrite import RewrittenQuery, compatible_coverage
+
+# The rewrite step past the coverage, under the name this module has
+# always called the rewrite by (the e2e benchmark's ``sql.rewrite``
+# span wraps it here).
+from repro.sql.rewrite import rewrite_to_coverage as rewrite_query
 from repro.sql.views import match_view
 from repro.trading.cache import OfferCache
 from repro.trading.commodity import (
@@ -242,8 +258,7 @@ class SellerAgent:
         capabilities, so load/capability changes invalidate naturally and
         a hit is always exactly what re-optimizing would have produced.
         """
-        cache = self.offer_cache
-        if cache is None:
+        if self.offer_cache is None:
             self._last_cache_lineage = "none"
             result = self.optimizer.optimize(
                 query, self.node, coverage=dict(coverage)
@@ -251,6 +266,24 @@ class SellerAgent:
             nominal = result.enumerated * self.seconds_per_plan
             self._nominal_effort += nominal
             return result, nominal
+        return self._through_cache(
+            query,
+            coverage,
+            lambda: self.optimizer.optimize(
+                query, self.node, coverage=dict(coverage)
+            ),
+        )
+
+    def _through_cache(
+        self,
+        query: SPJQuery,
+        coverage: Mapping[str, frozenset[int]],
+        compute: Callable[[], DPResult],
+    ) -> tuple[DPResult, float]:
+        """:meth:`optimize_cached` with a cache, *compute* making the
+        result on a miss: this node's own lookup, store, charge,
+        lineage and nominal effort, whoever ran the optimization."""
+        cache = self.offer_cache
         key = cache.key_for(
             query,
             coverage,
@@ -271,9 +304,7 @@ class SellerAgent:
             )
             return cached, work
         self._last_cache_lineage = "miss"
-        result = self.optimizer.optimize(
-            query, self.node, coverage=dict(coverage)
-        )
+        result = compute()
         cache.store(key, result)
         nominal = result.enumerated * self.seconds_per_plan
         self._nominal_effort += nominal
@@ -287,8 +318,9 @@ class SellerAgent:
         )
 
     def _rewrite(self, query: SPJQuery) -> RewrittenQuery | None:
-        """:func:`rewrite_query` against this node's holdings, through
-        the offer cache's rewrite memo when there is a cache.
+        """*query* rewritten to this node's holdings, through the offer
+        cache's rewrite memo when there is a cache; the compatible
+        coverage is computed once and handed to the rewrite step.
 
         The memo is keyed by the fragments this node holds that *query*
         may read, not by all it holds: nodes that differ only in
@@ -301,24 +333,54 @@ class SellerAgent:
             return None
 
         def compute() -> RewrittenQuery | None:
-            return rewrite_query(
-                query, local.schemas, local.schemes, local.held
-            )
+            return rewrite_query(query, local.schemes, coverage)
 
         cache = self.offer_cache
         if cache is None:
             return compute()
         return cache.rewrite(query, coverage_key(coverage), compute)
 
+    def _class_key(self, query: SPJQuery) -> tuple:
+        """What this node's rewrite, DP and offer templates for *query*
+        depend on: nodes of one RFB with equal keys compute them once."""
+        held = self.local.held
+        optimizer = self.optimizer
+        return (
+            id(query),  # the RFB holds its queries: ids stay unique
+            tuple(held.get(ref.name) for ref in query.relations),
+            self.builder.caps(self.node),
+            self.builder,
+            # Each agent builds its own default DP, which depends on
+            # its builder alone; any other optimizer counts by identity.
+            (optimizer.builder, optimizer.max_relations)
+            if type(optimizer) is DynamicProgrammingOptimizer
+            else optimizer,
+            self.join_capable,
+            self.offer_partials,
+            self.max_partial_size,
+            self.offer_fragment_granularity,
+            self.freshness,
+            self.seconds_per_plan,
+            self.offer_cache,
+        )
+
     def _offers_for(
         self, query: SPJQuery, rfb: RequestForBids
     ) -> tuple[list[Offer], float]:
         held = self._held_relations
-        rewritten = (
-            self._rewrite(query)
-            if any(ref.name in held for ref in query.relations)
-            else None
-        )
+        key = shared = None
+        if any(ref.name in held for ref in query.relations):
+            if self.offer_cache is not None:
+                key = self._class_key(query)
+                shared = rfb._memo.classes.get(key)
+            if shared is None:
+                rewritten = self._rewrite(query)
+                if rewritten is None and key is not None:
+                    rfb._memo.classes[key] = (None, None, ())
+            else:
+                rewritten = shared[0]
+        else:
+            rewritten = None
         if rewritten is None and not self._answers_unheld():
             return [], 0.0
         ctx = SellerContext(
@@ -331,14 +393,28 @@ class SellerAgent:
         work = 0.0
 
         if rewritten is not None:
-            result, opt_work = self.optimize_cached(
-                rewritten.query, rewritten.coverage
-            )
-            work += opt_work
-            if result.plan is not None:
-                offers.extend(
-                    self._plan_offers(query, rewritten, result, ctx)
+            if shared is None:
+                result, work = self.optimize_cached(
+                    rewritten.query, rewritten.coverage
                 )
+                templates = (
+                    self._plan_templates(query, rewritten, result, rfb)
+                    if result.plan is not None
+                    else ()
+                )
+                if key is not None:
+                    rfb._memo.classes[key] = (rewritten, result, templates)
+            else:
+                # A class-mate's DP result, booked as this node's own:
+                # on a miss it is stored moved to this site, which the
+                # subcontractor's join reads back.
+                _, result, templates = shared
+                _, work = self._through_cache(
+                    rewritten.query,
+                    rewritten.coverage,
+                    lambda: result.moved_to(self.node),
+                )
+            offers.extend(self._priced(query, templates, ctx))
 
         if self.use_views:
             view_offers, view_work = self._view_offers(query, ctx)
@@ -353,28 +429,28 @@ class SellerAgent:
             work += sub_work
         return offers, work
 
-    def _plan_offers(
+    def _plan_templates(
         self,
         request: SPJQuery,
         rewritten: RewrittenQuery,
         result: DPResult,
-        ctx: SellerContext,
-    ) -> list[Offer]:
-        offers: list[Offer] = []
+        rfb: RequestForBids,
+    ) -> list[tuple]:
+        """The unpriced plan offers, in offer order: ``(offered query,
+        coverage, properties, execute seconds, exact projections)``."""
+        templates: list[tuple] = []
         full_aliases = frozenset(rewritten.query.aliases)
         if self.join_capable or len(full_aliases) == 1:
-            full_offer = self._offer_from_plan(
-                request,
-                rewritten.query,
-                result.plan,
-                dict(rewritten.coverage),
-                rewritten.exact_projections,
-                ctx,
+            templates.append(
+                self._template(
+                    rewritten.query,
+                    result.plan,
+                    rewritten.coverage,
+                    rewritten.exact_projections,
+                )
             )
-            if full_offer is not None:
-                offers.append(full_offer)
         if not self.offer_partials:
-            return offers
+            return templates
         for subset, plan in sorted(
             result.best.items(), key=lambda kv: sorted(kv[0])
         ):
@@ -393,25 +469,25 @@ class SellerAgent:
             coverage = {
                 alias: rewritten.coverage[alias] for alias in subset
             }
-            offer = self._offer_from_plan(
-                request, sub_query, plan, coverage, False, ctx
-            )
-            if offer is not None:
-                offers.append(offer)
+            templates.append(self._template(sub_query, plan, coverage, False))
         if self.offer_fragment_granularity:
-            offers.extend(self._fragment_offers(request, rewritten, ctx))
-        return offers
+            templates.extend(
+                self._fragment_templates(request, rewritten, rfb)
+            )
+        return templates
 
-    def _fragment_offers(
+    def _fragment_templates(
         self,
         request: SPJQuery,
         rewritten: RewrittenQuery,
-        ctx: SellerContext,
-    ) -> list[Offer]:
-        """Single-fragment commodities for every held fragment."""
-        from repro.sql.expr import conjoin, implies, normalize_conjunction
-
-        offers: list[Offer] = []
+        rfb: RequestForBids,
+    ) -> list[tuple]:
+        """Single-fragment commodities for every held fragment; each
+        fragment's sub-query is built once per RFB."""
+        shared = (
+            rfb._memo.fragments if self.offer_cache is not None else {}
+        )
+        templates: list[tuple] = []
         alias_to_relation = {
             r.alias: r.name for r in rewritten.query.relations
         }
@@ -419,75 +495,96 @@ class SellerAgent:
             if len(fragment_ids) < 2:
                 continue  # the held-set partial already is one fragment
             ref = rewritten.query.relation_for(alias)
-            scheme = self.local.schemes[ref.name]
-            base = request.subquery_on((alias,))
-            if base is None:
-                continue
-            selection = request.selection_on(alias)
             for fid in sorted(fragment_ids):
-                restriction = scheme.fragment(fid).restriction_for(alias)
-                scan_selection = conjoin(
-                    [
-                        c
-                        for c in selection.conjuncts()
-                        if not implies(restriction, c)
-                    ]
-                )
+                key = (id(request), alias, fid)
+                parts = shared.get(key)
+                if parts is None:
+                    parts = shared[key] = self._fragment_query(
+                        request, alias, ref.name, fid
+                    )
+                if not parts:
+                    break  # the request has no sub-query on *alias*
+                sub_query, scan_selection = parts
                 plan = self.builder.scan(
                     ref, (fid,), scan_selection, self.node, alias_to_relation
                 )
-                sub_query = SPJQuery(
-                    relations=base.relations,
-                    predicate=normalize_conjunction(
-                        conjoin([base.predicate, restriction])
-                    ),
+                templates.append(
+                    self._template(
+                        sub_query, plan, {alias: frozenset((fid,))}, False
+                    )
                 )
-                offer = self._offer_from_plan(
-                    request,
-                    sub_query,
-                    plan,
-                    {alias: frozenset((fid,))},
-                    False,
-                    ctx,
-                )
-                if offer is not None:
-                    offers.append(offer)
-        return offers
+        return templates
 
-    def _offer_from_plan(
+    def _fragment_query(
+        self, request: SPJQuery, alias: str, relation: str, fid: int
+    ) -> tuple[SPJQuery, Expr] | tuple[()]:
+        """Fragment *fid* of *alias*'s relation as a query of its own,
+        and the part of *request*'s selection its restriction leaves to
+        the scan; ``()`` if *request* has no sub-query on *alias*."""
+        base = request.subquery_on((alias,))
+        if base is None:
+            return ()
+        restriction = (
+            self.local.schemes[relation].fragment(fid).restriction_for(alias)
+        )
+        scan_selection = conjoin(
+            [
+                c
+                for c in request.selection_on(alias).conjuncts()
+                if not implies(restriction, c)
+            ]
+        )
+        sub_query = SPJQuery(
+            relations=base.relations,
+            predicate=normalize_conjunction(
+                conjoin([base.predicate, restriction])
+            ),
+        )
+        return sub_query, scan_selection
+
+    def _template(
         self,
-        request: SPJQuery,
         offered_query: SPJQuery,
-        plan: Plan | None,
+        plan: Plan,
         coverage: Mapping[str, frozenset[int]],
         exact: bool,
-        ctx: SellerContext,
-    ) -> Offer | None:
-        if plan is None:
-            return None
+    ) -> tuple:
         rows = plan.rows
         execute = plan.response_time()
         ship = self.builder.cost_model.transfer(rows)
-        total = execute + ship
         properties = AnswerProperties(
-            total_time=total,
+            total_time=execute + ship,
             rows=rows,
             first_row_time=execute + self.builder.cost_model.network.latency,
             rows_per_second=rows / ship if ship > 0 else rows,
             freshness=self.freshness,
         )
-        priced = self.strategy.price(properties, execute, ctx)
-        if priced is None:
-            return None
-        return Offer(
-            seller=self.node,
-            query=offered_query,
-            coverage=dict(coverage),
-            properties=priced,
-            exact_projections=exact,
-            request_key=request.key(),
-            true_cost=execute,
-        )
+        return offered_query, coverage, properties, execute, exact
+
+    def _priced(
+        self,
+        request: SPJQuery,
+        templates: Iterable[tuple],
+        ctx: SellerContext,
+    ) -> list[Offer]:
+        """This node's offers for *templates*, priced by its strategy."""
+        offers: list[Offer] = []
+        for offered, coverage, properties, execute, exact in templates:
+            priced = self.strategy.price(properties, execute, ctx)
+            if priced is None:
+                continue
+            offers.append(
+                Offer(
+                    seller=self.node,
+                    query=offered,
+                    coverage=dict(coverage),
+                    properties=priced,
+                    exact_projections=exact,
+                    request_key=request.key(),
+                    true_cost=execute,
+                )
+            )
+        return offers
 
     # -- seller predicates analyser ---------------------------------------
     def _view_offers(
