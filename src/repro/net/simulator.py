@@ -26,6 +26,16 @@ injector every surviving copy of every message is its own entry at its
 own instant.  With a tracer attached, the causal stamps
 (``mid``/``parent``) are plain attribute writes on each message as it
 departs.
+
+A departure can also be a *reply wave* (:meth:`Network.broadcast_mute`):
+requests to recipients known to answer each with an empty control
+message and no work.  Their handlers are not called; on arrival the
+network books each recipient's zero-work compute, records the replies
+and schedules one entry per distinct reply instant, whose delivery
+hands the requester's callback the list of repliers.  Counts, bytes,
+``busy_until`` and every instant are those of the per-message path; a
+protocol uses a wave only with no tracer and no fault injector, which
+see every message on its own.
 """
 
 from __future__ import annotations
@@ -399,6 +409,63 @@ class Network:
                 earliest,
             )
         return len(targets)
+
+    def broadcast_mute(
+        self,
+        recipients: Sequence[str],
+        kind: MessageKind,
+        reply_kind: MessageKind,
+        on_replies: Callable[[list[str]], None],
+        *,
+        size_bytes: int | None = None,
+    ) -> None:
+        """Send a *kind* message to *recipients* known to answer it with
+        an empty *reply_kind* control message and no work, as one reply
+        wave: no message object is built and no handler is called, so
+        the payload is not needed.
+
+        Counts, bytes, ``busy_until`` and instants are those of
+        :meth:`broadcast` followed by each recipient's handler booking
+        zero work and sending its reply: the requests depart as one
+        entry; on their arrival each recipient books a zero-work
+        :meth:`compute` and its reply is recorded and departs at
+        ``max(now, busy_until)``.  The replies arriving at one instant
+        are one entry, whose delivery calls ``on_replies(senders)`` in
+        recipient order in place of the requester's handler.  For a
+        network with no tracer and no fault injector only, which see
+        every message on its own (nor does the tracer's pending-events
+        gauge count a wave's riders).
+        """
+        handlers = self._handlers
+        for node in recipients:
+            if node not in handlers:
+                raise KeyError(f"unknown recipient {node!r}")
+        if not recipients:
+            return
+        size = self._size(size_bytes)
+        self.stats.record(kind, size, len(recipients))
+        self.sim.schedule_at(
+            self.now + self._transit(size),
+            partial(self._answer_mute, recipients, reply_kind, on_replies),
+        )
+
+    def _answer_mute(
+        self,
+        recipients: Sequence[str],
+        reply_kind: MessageKind,
+        on_replies: Callable[[list[str]], None],
+    ) -> None:
+        """The arrival of a :meth:`broadcast_mute` wave: book, record
+        and schedule every recipient's empty reply."""
+        size = self._size(None)
+        self.stats.record(reply_kind, size, len(recipients))
+        delay = self._transit(size)
+        by_instant: dict[float, list[str]] = {}
+        for node in recipients:
+            when = self.compute(node, 0.0) + delay
+            by_instant.setdefault(when, []).append(node)
+        for when, senders in by_instant.items():
+            self.sim.schedule_at(when, partial(on_replies, senders))
 
     def _dispatch(
         self,

@@ -118,7 +118,15 @@ class AnswerProperties:
             raise ValueError("completeness must be in [0, 1]")
 
     def with_money(self, money: float) -> "AnswerProperties":
-        return replace(self, money=money)
+        return AnswerProperties(
+            self.total_time,
+            self.rows,
+            self.first_row_time,
+            self.rows_per_second,
+            self.freshness,
+            self.completeness,
+            money,
+        )
 
     def scaled_time(self, factor: float) -> "AnswerProperties":
         return replace(
@@ -203,15 +211,18 @@ class _SellerMemo:
     capabilities and every setting its pricing depends on) to the work
     its first seller did; ``fragments`` maps (request, alias, fragment
     id) to the single-fragment sub-query any seller holding that
-    fragment offers.  Keys hold object identities, which a pickle or a
-    deep copy does not keep, so either starts empty.
+    fragment offers; ``relations`` is the set of relation names the
+    RFB's queries read, ``None`` until a seller first asks.  Keys hold
+    object identities, which a pickle or a deep copy does not keep, so
+    either starts empty.
     """
 
-    __slots__ = ("classes", "fragments")
+    __slots__ = ("classes", "fragments", "relations")
 
     def __init__(self) -> None:
         self.classes: dict = {}
         self.fragments: dict = {}
+        self.relations: frozenset[str] | None = None
 
     def __reduce__(self):
         return (_SellerMemo, ())

@@ -296,16 +296,21 @@ class BiddingProtocol(NegotiationProtocol):
 
             def buyer_handler(net: Network, message: Message) -> None:
                 if state["closed"]:
-                    return  # round already closed on its deadline
+                    return
                 if message.kind is MessageKind.OFFER:
                     collected.extend(message.payload)
-                    responded.add(message.sender)
-                elif message.kind is MessageKind.NO_OFFER:
-                    responded.add(message.sender)
-                else:
+                elif message.kind is not MessageKind.NO_OFFER:
                     return
+                heard((message.sender,))
+
+            def heard(senders: Sequence[str]) -> None:
+                """*senders* answered; a wave of ``NO_OFFER``s from the
+                sellers the RFB cannot concern arrives here directly."""
+                if state["closed"]:
+                    return  # round already closed on its deadline
+                responded.update(senders)
                 if silent is not None:
-                    silent.discard(message.sender)
+                    silent.difference_update(senders)
                     if not silent:
                         # Everyone answered: close early, cancel the
                         # deadline.
@@ -314,6 +319,20 @@ class BiddingProtocol(NegotiationProtocol):
                             state["timer"].cancel()
 
             size = rfb_size(network, rfb)
+            # A seller that may not answer would only reply NO_OFFER at
+            # once: unless a tracer or a fault injector must see each
+            # message, those sellers get one reply wave and no handler
+            # call.  Offers keep their order (they all come from the
+            # answering sellers' one fanout) and a NO_OFFER's effect on
+            # the round commutes with an OFFER's.
+            answering, mute = expected, []
+            if not tracer.enabled and network.fault_injector is None:
+                answering = []
+                for node in expected:
+                    if sellers[node].may_answer(rfb):
+                        answering.append(node)
+                    else:
+                        mute.append(node)
 
             def issue(attempt: int) -> None:
                 deadline = None
@@ -331,9 +350,17 @@ class BiddingProtocol(NegotiationProtocol):
                     ),
                 ):
                     network.broadcast(
-                        buyer, expected, MessageKind.RFB, rfb,
+                        buyer, answering, MessageKind.RFB, rfb,
                         size_bytes=size,
                     )
+                    network.broadcast_mute(
+                        mute, MessageKind.RFB, MessageKind.NO_OFFER, heard,
+                        size_bytes=size,
+                    )
+                    if network.facts is not None:
+                        # Without faults every RFB arrives.
+                        for node in mute:
+                            network.facts.delivered(node, False)
 
             def on_deadline() -> None:
                 state["timeouts"] += 1

@@ -5,8 +5,10 @@ On receiving an RFB the seller:
 
 0. **skips**: a node holding none of the requested relations answers
    ``NO_OFFER`` without rewriting (its views and subcontractor, if any,
-   are still asked; a node with no fragment, no view and no
-   subcontractor skips the whole RFB),
+   are still asked; a node that holds no fragment of any relation the
+   RFB names and has no view and no subcontractor skips the whole RFB:
+   :meth:`SellerAgent.may_answer` is false, and the bidding protocols
+   let the network answer for it without calling it),
 1. **rewrites** each requested query to its local holdings (dropping
    non-local relations, restricting extents to local fragments); the
    rewrite is memoized in the offer cache, keyed by the query and its
@@ -193,7 +195,7 @@ class SellerAgent:
             "seller.prepare_offers", "trading", site=self.node,
             round=rfb.round_number, queries=len(rfb.queries),
         ) as span:
-            if not self._held_relations and not self._answers_unheld():
+            if not self.may_answer(rfb):
                 span.set(offers=0, work=0.0)
                 return [], 0.0
             offers: list[Offer] = []
@@ -311,6 +313,21 @@ class SellerAgent:
         return result, nominal
 
     # ------------------------------------------------------------------
+    def may_answer(self, rfb: RequestForBids) -> bool:
+        """Whether this node may offer anything for *rfb*: it holds a
+        fragment of a relation one of its queries names, or views or a
+        subcontractor may answer.  If it may not, :meth:`prepare_offers`
+        returns no offers and no work."""
+        if self._answers_unheld():
+            return True
+        memo = rfb._memo
+        names = memo.relations
+        if names is None:
+            names = memo.relations = frozenset(
+                ref.name for query in rfb.queries for ref in query.relations
+            )
+        return not self._held_relations.isdisjoint(names)
+
     def _answers_unheld(self) -> bool:
         """May views or a subcontractor answer what no fragment covers?"""
         return bool(self.use_views and self.local.views) or (

@@ -1,5 +1,7 @@
 """Unit tests for commodities (offers, RFBs) and valuations."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,11 @@ class TestAnswerProperties:
 
     def test_with_money(self):
         assert props().with_money(3.0).money == 3.0
+        every_field = props(
+            first_row_time=0.5, rows_per_second=7.0, freshness=0.9,
+            completeness=0.8, money=1.0,
+        )
+        assert every_field.with_money(3.0) == replace(every_field, money=3.0)
 
     def test_scaled_time(self):
         scaled = props(total_time=2.0, first_row_time=1.0).scaled_time(1.5)
